@@ -40,6 +40,7 @@ from .errors import (
     NonComposable,
     NotRankTwo,
     Overflow,
+    ParseFailure,
     Unreachable,
     UnknownChamber,
     WindowTooSmall,

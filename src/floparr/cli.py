@@ -14,19 +14,16 @@ byte deterministic.  ``--window R`` is shorthand for ``--affine
 --radius R``.  Arrangements can also come from a JSON file via --in,
 which is how arrangements from arbitrary user matrices enter.
 
-Exit codes: 0 success, 1 failed checks, 2 parse failure, 3 empty
-surviving set, 4 enumeration overflow, 5 unknown chamber id, 6 plot of
-a non rank-2 arrangement.
-
-FLOPARR_CACHE overrides the workspace cache directory used by build.
+Exit codes: 0 success, 1 failed checks or any other error, 2 parse
+failure or unreadable/unwritable file, 3 empty surviving set, 4
+enumeration overflow, 5 unknown chamber id, 6 plot of a non rank-2
+arrangement.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 import warnings
 from fractions import Fraction
@@ -41,14 +38,7 @@ from .arrangement import (
 )
 from .chambers import enumerate_chambers, graph_to_json
 from .dynkin import DynkinData, DynkinType, parse_data
-from .errors import (
-    EmptySurvivingSet,
-    FloparrError,
-    InvalidType,
-    NotRankTwo,
-    Overflow,
-    UnknownChamber,
-)
+from .errors import FloparrError, ParseFailure
 from .galleries import BoundaryContactWarning, atoms, path_to_json, path_touches_boundary
 from .perms import parse_perm
 from .pi1 import (
@@ -66,17 +56,6 @@ from .svgplot import arrangement_svg
 DEFAULT_RADIUS = Fraction(7, 2)
 
 
-class ParseFailure(Exception):
-    """User input that did not parse; mapped to exit code 2."""
-
-
-def cache_root() -> Path:
-    env = os.environ.get("FLOPARR_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "floparr"
-
-
 def _parse_radius(text: str) -> Fraction:
     try:
         radius = Fraction(text)
@@ -87,16 +66,9 @@ def _parse_radius(text: str) -> Fraction:
     return radius
 
 
-def _parse_data(text: str) -> DynkinData:
-    try:
-        return parse_data(text)
-    except InvalidType as exc:
-        raise ParseFailure(str(exc)) from exc
-
-
 def _resolve_arrangement(args):
     """Arrangement from a data string plus kind flags, or from --in JSON."""
-    if getattr(args, "infile", None):
+    if args.infile:
         try:
             obj = json.loads(Path(args.infile).read_text())
             return arrangement_from_json(obj)
@@ -104,7 +76,7 @@ def _resolve_arrangement(args):
             raise ParseFailure(f"cannot load arrangement from {args.infile}: {exc}") from exc
     if not args.data:
         raise ParseFailure("need a Dynkin data string or --in FILE")
-    data = _parse_data(args.data)
+    data = parse_data(args.data)
     if args.window is not None:
         return build_affine(data, _parse_radius(args.window))
     if args.affine:
@@ -114,33 +86,16 @@ def _resolve_arrangement(args):
 
 def _emit(args, text: str) -> None:
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ParseFailure(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def cmd_build(args) -> int:
-    if getattr(args, "infile", None):
-        arr = _resolve_arrangement(args)
-        _emit(args, dumps(arrangement_to_json(arr)))
-        return 0
-    data = _parse_data(args.data)
-    if args.window is not None:
-        kind, radius = "affine", _parse_radius(args.window)
-    elif args.affine:
-        kind, radius = "affine", _parse_radius(args.radius)
-    else:
-        kind, radius = "central", None
-    key = hashlib.sha256(f"{data}|{kind}|{radius}".encode()).hexdigest()[:24]
-    cached = cache_root() / f"arr-{key}.json"
-    if cached.is_file():
-        _emit(args, cached.read_text())
-        return 0
-    arr = build_affine(data, radius) if kind == "affine" else build_finite(data)
-    text = dumps(arrangement_to_json(arr))
-    cached.parent.mkdir(parents=True, exist_ok=True)
-    cached.write_text(text)
-    _emit(args, text)
+    _emit(args, dumps(arrangement_to_json(_resolve_arrangement(args))))
     return 0
 
 
@@ -205,8 +160,6 @@ def cmd_check(args) -> int:
         assignment = {int(k): parse_perm(v) for k, v in table.items()}
     except (OSError, ValueError, TypeError, AttributeError) as exc:
         raise ParseFailure(f"cannot load representation from {args.rep}: {exc}") from exc
-    degree = max((len(p.images) for p in assignment.values()), default=0)
-    assignment = {k: p.extend(degree) for k, p in assignment.items()}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryContactWarning)
         rels = relations(graph, length_cap=args.length_cap)
@@ -326,25 +279,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseFailure as exc:
-        print(f"floparr: {exc}", file=sys.stderr)
-        return 2
-    except EmptySurvivingSet as exc:
-        print(f"floparr: {exc}", file=sys.stderr)
-        return 3
-    except Overflow as exc:
-        print(f"floparr: {exc}", file=sys.stderr)
-        return 4
-    except UnknownChamber as exc:
-        print(f"floparr: {exc}", file=sys.stderr)
-        return 5
-    except NotRankTwo as exc:
-        print(f"floparr: {exc}", file=sys.stderr)
-        return 6
     except FloparrError as exc:
         print(f"floparr: {exc}", file=sys.stderr)
-        return 1
-
+        return exc.exit_code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,21 +1,32 @@
 """Exception types shared across the package.
 
-The command line front end maps these onto stable exit codes, so new
-failure modes should get their own class here rather than a bare
-ValueError.
+Each class carries the process exit code the command line front end
+returns for it, so new failure modes should get their own class here
+rather than a bare ValueError.  A subclass inherits its parent's code
+unless it sets its own.
 """
 
 
 class FloparrError(Exception):
     """Base class for every error this package raises deliberately."""
 
+    exit_code = 1
 
-class InvalidType(FloparrError):
+
+class ParseFailure(FloparrError):
+    """User input that did not parse, or a file that could not be read or written."""
+
+    exit_code = 2
+
+
+class InvalidType(ParseFailure):
     """Family outside {A, D, E}, rank out of bounds, or bad node ids."""
 
 
 class EmptySurvivingSet(FloparrError):
     """Every node was contracted; no coordinates survive."""
+
+    exit_code = 3
 
 
 class MixedKinds(FloparrError):
@@ -29,6 +40,8 @@ class WindowTooSmall(FloparrError):
 class UnknownChamber(FloparrError):
     """Chamber id outside the enumerated graph."""
 
+    exit_code = 5
+
 
 class NonComposable(FloparrError):
     """Paths or words whose endpoints do not match up."""
@@ -41,6 +54,8 @@ class Unreachable(FloparrError):
 class Overflow(FloparrError):
     """An enumeration exceeded its configured cap."""
 
+    exit_code = 4
+
 
 class MissingEdgeAssignment(FloparrError):
     """A representation check needs a group element for every edge."""
@@ -52,3 +67,5 @@ class BaseMismatch(FloparrError):
 
 class NotRankTwo(FloparrError):
     """Plotting is defined for two-dimensional arrangements only."""
+
+    exit_code = 6

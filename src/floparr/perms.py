@@ -12,9 +12,13 @@ from dataclasses import dataclass
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Perm:
-    """A permutation stored by its tuple of images."""
+    """A permutation stored by its tuple of images.
+
+    Points past the end of ``images`` are fixed, so equality and hashing
+    ignore trailing fixed points: ``Perm((1, 0)) == Perm((1, 0, 2))``.
+    """
 
     images: tuple[int, ...]
 
@@ -31,6 +35,21 @@ class Perm:
         if degree <= len(self.images):
             return self
         return Perm(self.images + tuple(range(len(self.images), degree)))
+
+    def _trimmed(self) -> tuple[int, ...]:
+        """``images`` without its trailing fixed points."""
+        n = len(self.images)
+        while n and self.images[n - 1] == n - 1:
+            n -= 1
+        return self.images[:n]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Perm):
+            return NotImplemented
+        return self._trimmed() == other._trimmed()
+
+    def __hash__(self) -> int:
+        return hash(self._trimmed())
 
     def __call__(self, x: int) -> int:
         return self.images[x] if x < len(self.images) else x

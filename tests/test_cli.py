@@ -3,6 +3,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from floparr import errors
+
 CLI = [sys.executable, "-m", "floparr.cli"]
 
 
@@ -44,15 +48,21 @@ def test_build_deterministic_bytes():
     assert a.stdout.endswith("\n")
 
 
-def test_build_cache_round_trip(tmp_path):
+def test_build_ignores_cache_settings(tmp_path):
+    plain = run("build", "A2:J={}", check=True).stdout
+    home = tmp_path / "home"
+    home.mkdir()
     env = os.environ.copy()
-    env["FLOPARR_CACHE"] = str(tmp_path)
-    first = subprocess.run(CLI + ["build", "A2:J={}"], capture_output=True, text=True, env=env)
-    assert first.returncode == 0
-    cached = list(tmp_path.glob("arr-*.json"))
-    assert len(cached) == 1
-    second = subprocess.run(CLI + ["build", "A2:J={}"], capture_output=True, text=True, env=env)
-    assert second.stdout == first.stdout
+    env.pop("FLOPARR_CACHE", None)
+    env["HOME"] = str(home)
+    no_cache = subprocess.run(CLI + ["build", "A2:J={}"], capture_output=True, text=True, env=env)
+    assert (no_cache.returncode, no_cache.stdout) == (0, plain)
+    assert list(home.iterdir()) == []
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    env["FLOPARR_CACHE"] = str(blocker)
+    file_cache = subprocess.run(CLI + ["build", "A2:J={}"], capture_output=True, text=True, env=env)
+    assert (file_cache.returncode, file_cache.stdout) == (0, plain)
 
 
 def test_out_writes_file(tmp_path):
@@ -60,6 +70,19 @@ def test_out_writes_file(tmp_path):
     proc = run("build", "A2:J={}", "--out", str(target), check=True)
     assert proc.stdout == ""
     assert json.loads(target.read_text())["kind"] == "central"
+
+
+def test_out_to_missing_directory(tmp_path):
+    proc = run("build", "A2:J={}", "--out", str(tmp_path / "missing" / "arr.json"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("floparr: cannot write")
+
+
+def test_build_without_input():
+    proc = run("build")
+    assert proc.returncode == 2
+    assert proc.stderr == "floparr: need a Dynkin data string or --in FILE\n"
 
 
 def test_in_file_round_trip(tmp_path):
@@ -169,6 +192,43 @@ def test_search_figure_self_consistent():
     for match in doc["matches"]:
         built = json.loads(run("build", match["data"], check=True).stdout)
         assert len(built["hyperplanes"]) == 4
+
+
+def test_exit_code_failed_precondition(tmp_path):
+    # an error that is not a failed check: the table leaves out edge 0
+    rep = tmp_path / "rep.json"
+    build = json.loads(run("chambers", "A2:J={}", check=True).stdout)
+    rep.write_text(json.dumps({str(i): "()" for i in range(1, len(build["edges"]))}))
+    proc = run("check", "A2:J={}", "--rep", str(rep))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "edge 0" in proc.stderr
+
+
+EXIT_CODES = {
+    errors.FloparrError: 1,
+    errors.ParseFailure: 2,
+    errors.InvalidType: 2,
+    errors.EmptySurvivingSet: 3,
+    errors.MixedKinds: 1,
+    errors.WindowTooSmall: 1,
+    errors.UnknownChamber: 5,
+    errors.NonComposable: 1,
+    errors.Unreachable: 1,
+    errors.Overflow: 4,
+    errors.MissingEdgeAssignment: 1,
+    errors.BaseMismatch: 1,
+    errors.NotRankTwo: 6,
+}
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)],
+    ids=lambda c: c.__name__,
+)
+def test_exit_code_table(cls):
+    assert cls.exit_code == EXIT_CODES[cls]
 
 
 def test_exit_code_parse_failure():

@@ -172,6 +172,23 @@ def test_corrupted_representation_fails():
     assert again.failures == report.failures
 
 
+def test_check_ignores_permutation_degree():
+    # regression: identity(3) on one edge used to compare unequal to the
+    # identity(2) elsewhere and report failures (0, 2, 4)
+    g = central_graph("A2:J={}")
+    assignment = {e.id: Perm.identity(2) for e in g.edges}
+    assignment[0] = Perm.identity(3)
+    assert check_representation(g, assignment, relations(g)).failures == ()
+
+
+def test_perm_equality_ignores_trailing_fixed_points():
+    assert Perm.identity(2) == Perm.identity(3) == Perm(())
+    assert parse_perm("(0 1)") == parse_perm("(0 1)", degree=4)
+    assert parse_perm("(0 1)") != parse_perm("(1 2)")
+    assert hash(parse_perm("(0 1)")) == hash(parse_perm("(0 1)").extend(5))
+    assert len({Perm.identity(n) for n in range(4)}) == 1
+
+
 def test_missing_edge_assignment():
     g = central_graph("A2:J={}")
     assignment = _s3_assignment(g)
