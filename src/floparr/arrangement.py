@@ -145,25 +145,35 @@ def arrangement_to_json(arr: Arrangement) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def arrangement_from_json(obj: dict) -> Arrangement:
     """Load and validate an arrangement, e.g. one built from a user matrix."""
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ValueError("dim must be a positive integer")
     kind = obj["kind"]
     if kind == "central":
         radius = None
     else:
-        radius = Fraction(kind["affine"]["radius"])
+        text = kind["affine"]["radius"]
+        if not (isinstance(text, str) or _is_int(text)):
+            raise ValueError(f'radius must be a string such as "7/2" or an integer, got {text!r}')
+        try:
+            radius = Fraction(text)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"bad radius {text!r}") from exc
         if radius <= 0:
             raise ValueError("window radius must be positive")
     planes = []
     for item in obj["hyperplanes"]:
         normal = tuple(item["normal"])
         level = item["level"]
-        if len(normal) != dim or not all(isinstance(v, int) for v in normal):
+        if len(normal) != dim or not all(_is_int(v) for v in normal) or not any(normal):
             raise ValueError(f"bad normal {normal!r}")
-        if not isinstance(level, int):
+        if not _is_int(level):
             raise ValueError(f"bad level {level!r}")
         if radius is None and level != 0:
             raise ValueError("central arrangements have level 0 only")

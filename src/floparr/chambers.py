@@ -3,9 +3,16 @@
 A chamber is a maximal connected piece of the complement: a strict sign
 vector over the hyperplanes that has a solution (inside the open window
 box, for affine arrangements).  Enumeration is a breadth-first search
-from a deterministic seed chamber; every membership and wall question
-is decided exactly in rational arithmetic, so chamber ids, witnesses
-and edges are reproducible run to run and machine to machine.
+from a deterministic seed chamber; every question is decided exactly in
+rational arithmetic, so chamber ids, witnesses and edges are
+reproducible run to run and machine to machine.
+
+Walls are found by flipping one sign: h is a wall of C exactly when C
+with h's sign flipped is a chamber, so one witness solve per new sign
+vector finds the neighbour.  Vectors proven empty are remembered, and a
+flip that breaks the +...+-...- sign order along the translates of one
+normal is skipped unsolved.  The boundary flag substitutes each window
+face ``x_i = +-radius`` into the closed chamber's weak system.
 
 Ids are assigned in discovery order, with each chamber expanding its
 hyperplanes in increasing index.  For each adjacent pair both directed
@@ -24,7 +31,7 @@ from fractions import Fraction
 
 from .arrangement import Arrangement
 from .errors import UnknownChamber, WindowTooSmall
-from .linear import ZERO, box_constraints, dot, feasible_point, rref
+from .linear import box_constraints, dot, feasible_point, rref
 
 _PROBE_LIMIT = 10000
 
@@ -91,11 +98,9 @@ class ChamberGraph:
         return self._by_signs.get(tuple(signs))
 
 
-def _sign_constraints(arr, signs, skip=None, strict=True):
+def _sign_constraints(arr, signs, strict=True):
     out = []
     for h, plane in enumerate(arr.hyperplanes):
-        if h == skip:
-            continue
         s = signs[h]
         a = tuple(Fraction(s * v) for v in plane.normal)
         out.append((a, Fraction(s * plane.level), strict))
@@ -112,24 +117,32 @@ def _witness(arr, signs):
     return feasible_point(arr.dim, _sign_constraints(arr, signs) + _window(arr))
 
 
-def _wall_feasible(arr, signs, h) -> bool:
-    plane = arr.hyperplanes[h]
-    eq = [(tuple(Fraction(v) for v in plane.normal), Fraction(plane.level))]
-    ineqs = _sign_constraints(arr, signs, skip=h) + _window(arr)
-    return feasible_point(arr.dim, ineqs, eq) is not None
-
-
 def _touches_boundary(arr, signs) -> bool:
     """Does the closure of the chamber meet the window boundary?"""
     if arr.radius is None:
         return False
     weak = _sign_constraints(arr, signs, strict=False) + _window(arr, strict=False)
     for i in range(arr.dim):
-        axis = tuple(Fraction(1) if j == i else ZERO for j in range(arr.dim))
         for value in (arr.radius, -arr.radius):
-            if feasible_point(arr.dim, weak, [(axis, value)]) is not None:
+            # substitute x_i = value, leaving dim - 1 variables
+            face = [(a[:i] + a[i + 1 :], b - a[i] * value, s) for a, b, s in weak]
+            if feasible_point(arr.dim - 1, face) is not None:
                 return True
     return False
+
+
+def _breaks_class_order(planes, signs, h) -> bool:
+    """Is flipping h empty by the sign order of its parallel class?
+
+    Translates of one normal sit together sorted by level, so a nonempty
+    vector reads +...+-...- along them: h may not take the sign opposite
+    to its neighbour g on the far side of its level.
+    """
+    s = signs[h]
+    g = h + s
+    if not 0 <= g < len(planes) or planes[g].normal != planes[h].normal:
+        return False
+    return signs[g] == s and s * (planes[g].level - planes[h].level) > 0
 
 
 def seed_chamber(arr: Arrangement) -> Chamber:
@@ -153,23 +166,30 @@ def seed_chamber(arr: Arrangement) -> Chamber:
 
 def enumerate_chambers(arr: Arrangement) -> ChamberGraph:
     """Breadth-first enumeration of all chambers with exact certificates."""
+    planes = arr.hyperplanes
     seed = seed_chamber(arr)
     chambers = [seed]
     index = {seed.signs: 0}
+    empty = set()
     edges = []
     head = 0
     while head < len(chambers):
         current = chambers[head]
         head += 1
-        for h in range(len(arr.hyperplanes)):
-            if not _wall_feasible(arr, current.signs, h):
-                continue
-            flipped = list(current.signs)
-            flipped[h] = -flipped[h]
-            flipped = tuple(flipped)
+        signs = current.signs
+        for h in range(len(planes)):
+            # The other signs and the open window cut out a convex open
+            # region; it meets h exactly when both sides of h are
+            # nonempty, so h is a wall exactly when the flip is a chamber.
+            flipped = signs[:h] + (-signs[h],) + signs[h + 1 :]
             nid = index.get(flipped)
             if nid is None:
+                if flipped in empty or _breaks_class_order(planes, signs, h):
+                    continue
                 witness = _witness(arr, flipped)
+                if witness is None:
+                    empty.add(flipped)
+                    continue
                 nid = len(chambers)
                 chambers.append(Chamber(nid, flipped, witness, _touches_boundary(arr, flipped)))
                 index[flipped] = nid

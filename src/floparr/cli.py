@@ -39,7 +39,7 @@ from .arrangement import (
 from .chambers import enumerate_chambers, graph_to_json
 from .dynkin import DynkinData, DynkinType, parse_data
 from .errors import FloparrError, ParseFailure
-from .galleries import BoundaryContactWarning, atoms, path_to_json, path_touches_boundary
+from .galleries import DEFAULT_ATOM_CAP, BoundaryContactWarning, atoms, path_to_json, path_touches_boundary
 from .perms import parse_perm
 from .pi1 import (
     GroupoidEquality,
@@ -244,12 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--from", dest="source", type=int, required=True, metavar="N")
     p.add_argument("--to", dest="target", type=int, required=True, metavar="N")
-    p.add_argument("--cap", type=int, default=10**6, help="atom count cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_ATOM_CAP, help="atom count cap")
     p.set_defaults(func=cmd_atoms)
 
     p = sub.add_parser("pi1", help="loop generators and atom-pair relations")
     _add_input_args(p)
-    p.add_argument("--cap", type=int, default=10**6, help="atoms per chamber cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_ATOM_CAP, help="atoms per chamber cap")
     p.add_argument("--length-cap", type=int, default=None, help="skip relations above this atom length")
     p.set_defaults(func=cmd_pi1)
 

@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Every geometric question in this package reduces to a small linear
-system: does a strict sign pattern have a solution, is a hyperplane a
-wall, which flats make up the intersection poset.  All of them are
-decided here with Fraction arithmetic.  No floats enter any decision.
+system: does a strict sign pattern have a solution, does a closed
+chamber touch the window boundary, which flats make up the intersection
+poset.  All of them are decided here with Fraction arithmetic.  No
+floats enter any decision.
 
-Inequalities are triples ``(a, b, strict)`` meaning ``a . x > b`` when
-strict and ``a . x >= b`` otherwise; equations are pairs ``(a, b)``
-meaning ``a . x = b``.  Feasibility is decided by Gaussian substitution
-of the equations followed by Fourier-Motzkin elimination with
-normalization-based pruning, and a rational witness point is
-reconstructed by back-substitution.
+``feasible_point`` is the one feasibility kernel.  It takes
+inequalities only: triples ``(a, b, strict)`` meaning ``a . x > b`` when
+strict and ``a . x >= b`` otherwise.  Fourier-Motzkin elimination with
+normalization-based pruning decides the system, and a rational witness
+point is rebuilt by back-substitution.  A caller that needs a flat
+substitutes it away first.  ``rref`` serves the intersection poset.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from fractions import Fraction
 from math import gcd
 
 Ineq = tuple[tuple[Fraction, ...], Fraction, bool]
-Eq = tuple[tuple[Fraction, ...], Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -51,30 +51,6 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(rows):
             break
     return rows[:r], pivots
-
-
-def solve_affine(dim: int, eqs) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]] | None:
-    """Solve ``a . x = b`` for all (a, b) in eqs.
-
-    Returns a particular solution and a basis of the solution space's
-    direction, or None when inconsistent.
-    """
-    rows = [[Fraction(v) for v in a] + [Fraction(b)] for a, b in eqs]
-    red, pivots = rref(rows)
-    if dim in pivots:
-        return None
-    free = [c for c in range(dim) if c not in pivots]
-    point = [ZERO] * dim
-    for row, c in zip(red, pivots):
-        point[c] = row[dim]
-    basis = []
-    for f in free:
-        v = [ZERO] * dim
-        v[f] = ONE
-        for row, c in zip(red, pivots):
-            v[c] = -row[f]
-        basis.append(tuple(v))
-    return tuple(point), basis
 
 
 def _normalize(a, b, strict):
@@ -147,30 +123,12 @@ def _fm(dim, ineqs):
     return sub + (val,)
 
 
-def feasible_point(dim: int, ineqs, eqs=()) -> tuple[Fraction, ...] | None:
+def feasible_point(dim: int, ineqs) -> tuple[Fraction, ...] | None:
     """Exact witness for a mixed strict/weak system, or None if empty.
 
-    Equations are eliminated first by substitution, then the remaining
-    strict and weak inequalities go through Fourier-Motzkin.  The
-    returned point satisfies every constraint exactly.
+    The returned point satisfies every constraint exactly.
     """
     ineqs = [(tuple(Fraction(v) for v in a), Fraction(b), s) for a, b, s in ineqs]
-    if eqs:
-        sol = solve_affine(dim, eqs)
-        if sol is None:
-            return None
-        point, basis = sol
-        reduced = []
-        for a, b, strict in ineqs:
-            a2 = tuple(dot(a, v) for v in basis)
-            reduced.append((a2, b - dot(a, point), strict))
-        y = _fm(len(basis), reduced)
-        if y is None:
-            return None
-        return tuple(
-            point[i] + sum((basis[j][i] * y[j] for j in range(len(basis))), ZERO)
-            for i in range(dim)
-        )
     return _fm(dim, ineqs)
 
 

@@ -26,13 +26,12 @@ from .errors import (
     NonComposable,
 )
 from .galleries import (
+    DEFAULT_ATOM_CAP,
     BoundaryContactWarning,
     PositivePath,
     atoms,
     path_touches_boundary,
 )
-
-DEFAULT_ATOMS_PER_CHAMBER = 10**6
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def loop_word(graph: ChamberGraph, atom: PositivePath, wall: int) -> GroupoidWor
     return GroupoidWord(atom.source, letters)
 
 
-def generators(graph: ChamberGraph, max_atoms_per_chamber: int = DEFAULT_ATOMS_PER_CHAMBER) -> list[Pi1Generator]:
+def generators(graph: ChamberGraph, max_atoms_per_chamber: int = DEFAULT_ATOM_CAP) -> list[Pi1Generator]:
     """One loop per (atom from the base, wall of its endpoint), in order.
 
     Chambers are visited by id, atoms lexicographically, walls in

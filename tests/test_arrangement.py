@@ -168,3 +168,34 @@ def test_json_rejects_malformed():
     doc2["hyperplanes"][0]["normal"] = [2, 4]
     with pytest.raises(ValueError):
         arrangement_from_json(doc2)
+
+
+def _affine_doc(radius, normal=(1,), level=0):
+    return {
+        "dim": 1,
+        "kind": {"affine": {"radius": radius}},
+        "hyperplanes": [{"normal": list(normal), "level": level}],
+    }
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dim": 2, "kind": "central", "hyperplanes": [{"normal": [0, 0], "level": 0}]},
+        _affine_doc("1/0"),
+        _affine_doc(0.1),
+        _affine_doc(True),
+        _affine_doc("1", level=True),
+        {"dim": True, "kind": "central", "hyperplanes": [{"normal": [1], "level": 0}]},
+        {"dim": 1, "kind": "central", "hyperplanes": [{"normal": [True], "level": 0}]},
+    ],
+    ids=["zero normal", "radius 1/0", "float radius", "bool radius", "bool level", "bool dim", "bool normal"],
+)
+def test_json_rejects_non_exact_values(doc):
+    with pytest.raises(ValueError):
+        arrangement_from_json(doc)
+
+
+def test_json_radius_string_or_int():
+    assert arrangement_from_json(_affine_doc("7/2")).radius == Fraction(7, 2)
+    assert arrangement_from_json(_affine_doc(2)).radius == 2

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from floparr import (
     UnknownChamber,
     WindowTooSmall,
+    arrangement_from_json,
     build_affine,
     enumerate_chambers,
     graph_to_json,
@@ -15,9 +17,11 @@ from floparr import (
     seed_chamber,
     walls,
 )
-from floparr.linear import dot
+from floparr.arrangement import dumps
+from floparr.linear import box_constraints, dot, feasible_point
 
 from helpers import (
+    affine,
     affine_graph,
     central,
     central_graph,
@@ -178,3 +182,94 @@ def test_graph_json_shape():
     assert all(isinstance(v, str) for v in first["witness"])
     edge = doc["edges"][0]
     assert set(edge) == {"from", "to", "hyperplane"}
+
+
+def _strict_signs(arr, signs, skip=None):
+    return [
+        (tuple(s * v for v in plane.normal), s * plane.level, True)
+        for h, (plane, s) in enumerate(zip(arr.hyperplanes, signs))
+        if h != skip
+    ]
+
+
+def _open_window(arr, strict=True):
+    return [] if arr.radius is None else box_constraints(arr.dim, arr.radius, strict)
+
+
+def _wall_reference(arr, signs, h):
+    """Is there a point of h with the other signs strict, in the open window?
+
+    h's equation normal . x = level is solved for its first nonzero
+    coordinate k and substituted into every other constraint.
+    """
+    plane = arr.hyperplanes[h]
+    k = next(i for i, v in enumerate(plane.normal) if v != 0)
+    lead = Fraction(plane.normal[k])
+    reduced = []
+    for a, b, strict in _strict_signs(arr, signs, skip=h) + _open_window(arr):
+        f = a[k] / lead
+        coeffs = tuple(a[j] - f * plane.normal[j] for j in range(arr.dim) if j != k)
+        reduced.append((coeffs, b - f * plane.level, strict))
+    return feasible_point(arr.dim - 1, reduced) is not None
+
+
+def _boundary_reference(arr, signs):
+    """Closed chamber plus x_i >= r or x_i <= -r, in full dimension."""
+    if arr.radius is None:
+        return False
+    weak = [(a, b, False) for a, b, _ in _strict_signs(arr, signs)] + _open_window(arr, strict=False)
+    for i in range(arr.dim):
+        for side in (1, -1):
+            face = tuple(side if j == i else 0 for j in range(arr.dim))
+            if feasible_point(arr.dim, weak + [(face, arr.radius, False)]) is not None:
+                return True
+    return False
+
+
+def _parallel_json_arrangement():
+    # x = 0 and 2x = 1 are parallel with different normal tuples; x = 5
+    # lies outside the window
+    planes = [((0, 1), 0), ((1, 0), 0), ((1, 0), 5), ((2, 0), 1)]
+    return arrangement_from_json({
+        "dim": 2,
+        "kind": {"affine": {"radius": "1"}},
+        "hyperplanes": [{"normal": list(n), "level": lv} for n, lv in planes],
+    })
+
+
+ORACLE_CASES = {
+    "A2": lambda: central("A2:J={}"),
+    "A3:J={1}": lambda: central("A3:J={1}"),
+    "A3": lambda: central("A3:J={}"),
+    "A2xA1": lambda: product_arrangement(central("A2:J={}"), central("A1:J={}")),
+    "A1 r=5/2": lambda: affine("A1:J={}", Fraction(5, 2)),
+    "A2 r=3/2": lambda: affine("A2:J={}", Fraction(3, 2)),
+    "D4:J={0,2} r=1": lambda: affine("D4:J={0,2}", 1),
+    "parallel json r=1": _parallel_json_arrangement,
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_walls_and_boundary_match_direct_systems(name):
+    arr = ORACLE_CASES[name]()
+    g = enumerate_chambers(arr)
+    check_graph_invariants(g)
+    for c in g.chambers:
+        for h in range(len(arr.hyperplanes)):
+            edge = g.edge_across(c.id, h)
+            assert (edge is not None) == _wall_reference(arr, c.signs, h), (c.id, h)
+        assert c.boundary == _boundary_reference(arr, c.signs), c.id
+
+
+@pytest.mark.parametrize(
+    "arr, digest",
+    [
+        (lambda: central("A3:J={}"), "531e7fe2124ab93dc005e3d5e2adf71feb02bece3e4d7f1a76932a1bc2fa608c"),
+        (lambda: affine("A2:J={}", Fraction(3, 2)), "d0ac71acb0554e8517afe9d22cac6c43fb552d4c75067140dfb06bb0d940a8d3"),
+    ],
+    ids=["A3", "A2 r=3/2"],
+)
+def test_graph_json_pinned(arr, digest):
+    # ids, signs, edges, boundary flags and witnesses, byte for byte
+    text = dumps(graph_to_json(enumerate_chambers(arr())))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -94,6 +94,23 @@ def test_in_file_round_trip(tmp_path):
     assert direct == loaded
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("chambers", {"dim": 2, "kind": "central", "hyperplanes": [{"normal": [0, 0], "level": 0}]}),
+        ("build", {"dim": 1, "kind": {"affine": {"radius": "1/0"}}, "hyperplanes": []}),
+    ],
+    ids=["zero normal", "radius 1/0"],
+)
+def test_in_file_malformed_values(tmp_path, command, doc):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(doc))
+    proc = run(command, "--in", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 def test_chambers_counts():
     doc = json.loads(run("chambers", "A2:J={}", check=True).stdout)
     assert doc["count"] == 6

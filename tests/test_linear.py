@@ -2,17 +2,17 @@ import random
 from fractions import Fraction
 
 
-from floparr.linear import box_constraints, dot, feasible_point, rref, solve_affine
+from floparr.linear import box_constraints, dot, feasible_point, rref
 
 
-def _satisfies(point, ineqs, eqs=()):
+def _satisfies(point, ineqs):
     for coeffs, rhs, strict in ineqs:
         value = dot(coeffs, point)
         if strict and not value > rhs:
             return False
         if not strict and not value >= rhs:
             return False
-    return all(dot(c, point) == r for c, r in eqs)
+    return True
 
 
 def test_rref_identity():
@@ -30,24 +30,6 @@ def test_rref_dependent_rows_collapse():
     assert pivots == [0, 2]
 
 
-def test_solve_affine_point():
-    # x = 1, y = 2
-    point, basis = solve_affine(2, [((1, 0), Fraction(1)), ((0, 1), Fraction(2))])
-    assert point == (1, 2)
-    assert list(basis) == []
-
-
-def test_solve_affine_line():
-    point, basis = solve_affine(2, [((1, 1), Fraction(3))])
-    assert dot((1, 1), point) == 3
-    assert len(basis) == 1
-    assert dot((1, 1), basis[0]) == 0
-
-
-def test_solve_affine_inconsistent():
-    assert solve_affine(2, [((1, 1), Fraction(0)), ((2, 2), Fraction(1))]) is None
-
-
 def test_feasible_strict_sector():
     point = feasible_point(2, [((1, 0), Fraction(0), True), ((0, 1), Fraction(0), True)])
     assert point is not None
@@ -61,18 +43,6 @@ def test_feasible_empty_strict():
 def test_feasible_weak_degenerate():
     point = feasible_point(1, [((1,), Fraction(0), False), ((-1,), Fraction(0), False)])
     assert point == (0,)
-
-
-def test_feasible_with_equalities():
-    ineqs = [((1, 0), Fraction(0), True)]
-    eqs = [((1, 1), Fraction(1))]
-    point = feasible_point(2, ineqs, eqs)
-    assert point is not None
-    assert _satisfies(point, ineqs, eqs)
-
-
-def test_feasible_equality_contradiction():
-    assert feasible_point(2, [], [((1, 0), Fraction(0)), ((1, 0), Fraction(1))]) is None
 
 
 def test_box_constraints():
