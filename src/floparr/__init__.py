@@ -43,7 +43,6 @@ from .errors import (
     ParseFailure,
     Unreachable,
     UnknownChamber,
-    WindowTooSmall,
 )
 from .galleries import (
     BoundaryContactWarning,

@@ -3,8 +3,8 @@
 A chamber is a maximal connected piece of the complement: a strict sign
 vector over the hyperplanes that has a solution (inside the open window
 box, for affine arrangements).  Enumeration is a breadth-first search
-from a deterministic seed chamber; every question is decided exactly in
-rational arithmetic, so chamber ids, witnesses and edges are
+from a deterministic seed chamber; every question is decided in exact
+integer and rational arithmetic, so chamber ids, witnesses and edges are
 reproducible run to run and machine to machine.
 
 Walls are found by flipping one sign: h is a wall of C exactly when C
@@ -12,7 +12,8 @@ with h's sign flipped is a chamber, so one witness solve per new sign
 vector finds the neighbour.  Vectors proven empty are remembered, and a
 flip that breaks the +...+-...- sign order along the translates of one
 normal is skipped unsolved.  The boundary flag substitutes each window
-face ``x_i = +-radius`` into the closed chamber's weak system.
+face ``x_i = +-p/q`` (for radius p/q) into the closed chamber's weak
+system, scaled by q so the rows stay integral.
 
 Ids are assigned in discovery order, with each chamber expanding its
 hyperplanes in increasing index.  For each adjacent pair both directed
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement
-from .errors import UnknownChamber, WindowTooSmall
-from .linear import box_constraints, dot, feasible_point, rref
+from .errors import UnknownChamber
+from .linear import ONE, box_constraints, dot, feasible_point, rref
 
 _PROBE_LIMIT = 10000
 
@@ -99,12 +100,11 @@ class ChamberGraph:
 
 
 def _sign_constraints(arr, signs, strict=True):
-    out = []
-    for h, plane in enumerate(arr.hyperplanes):
-        s = signs[h]
-        a = tuple(Fraction(s * v) for v in plane.normal)
-        out.append((a, Fraction(s * plane.level), strict))
-    return out
+    # hyperplanes are primitive integer rows already
+    return [
+        (tuple(s * v for v in plane.normal), s * plane.level, strict)
+        for plane, s in zip(arr.hyperplanes, signs)
+    ]
 
 
 def _window(arr, strict=True):
@@ -122,10 +122,14 @@ def _touches_boundary(arr, signs) -> bool:
     if arr.radius is None:
         return False
     weak = _sign_constraints(arr, signs, strict=False) + _window(arr, strict=False)
+    p, q = arr.radius.numerator, arr.radius.denominator
     for i in range(arr.dim):
-        for value in (arr.radius, -arr.radius):
-            # substitute x_i = value, leaving dim - 1 variables
-            face = [(a[:i] + a[i + 1 :], b - a[i] * value, s) for a, b, s in weak]
+        for side in (p, -p):
+            # substitute x_i = side / q and scale by q, leaving dim - 1 variables
+            face = [
+                (tuple(q * v for v in a[:i] + a[i + 1 :]), q * b - a[i] * side, s)
+                for a, b, s in weak
+            ]
             if feasible_point(arr.dim - 1, face) is not None:
                 return True
     return False
@@ -145,23 +149,35 @@ def _breaks_class_order(planes, signs, h) -> bool:
     return signs[g] == s and s * (planes[g].level - planes[h].level) > 0
 
 
+def _probes(arr):
+    """Probe values t: 1/N over the primes N below 10000, then a fallback.
+
+    The primes keep today's seeds.  Each hyperplane meets the curve
+    (t, t^2, ..., t^dim) in at most dim values of t, because its normal
+    is nonzero, so H * dim + 1 distinct values in (0, min(radius, 1))
+    always include one off every hyperplane.
+    """
+    top = ONE if arr.radius is None else min(arr.radius, ONE)
+    for n in _PRIMES:
+        if Fraction(1, n) < top:
+            yield Fraction(1, n)
+    for k in range(len(arr.hyperplanes) * arr.dim + 1):
+        yield top / (k + 2)
+
+
 def seed_chamber(arr: Arrangement) -> Chamber:
     """The chamber of the first generic probe point p = (t, t^2, ..., t^dim).
 
-    Probes use t = 1/N over the primes N = 2, 3, 5, ...; the first point
-    lying strictly off every hyperplane (and inside the window) wins.
-    Primes below 10000 are tried before giving up.
+    Every probe has 0 < t < min(radius, 1), so p lies inside the window;
+    the first p strictly off every hyperplane wins.
     """
-    for n in _PRIMES:
-        t = Fraction(1, n)
-        if arr.radius is not None and not t < arr.radius:
-            continue
+    for t in _probes(arr):
         point = tuple(t**i for i in range(1, arr.dim + 1))
         values = [dot(point, h.normal) - h.level for h in arr.hyperplanes]
         if all(v != 0 for v in values):
             signs = tuple(1 if v > 0 else -1 for v in values)
             return Chamber(0, signs, point, _touches_boundary(arr, signs))
-    raise WindowTooSmall(f"no probe point 1/N with N prime below {_PROBE_LIMIT} fits")
+    raise AssertionError("more than dim roots of a nonzero polynomial of degree dim")
 
 
 def enumerate_chambers(arr: Arrangement) -> ChamberGraph:

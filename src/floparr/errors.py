@@ -33,10 +33,6 @@ class MixedKinds(FloparrError):
     """Product of a central and a windowed arrangement, or unequal radii."""
 
 
-class WindowTooSmall(FloparrError):
-    """No generic probe point fits inside the window."""
-
-
 class UnknownChamber(FloparrError):
     """Chamber id outside the enumerated graph."""
 

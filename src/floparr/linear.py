@@ -1,25 +1,42 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers and the rationals.
 
 Every geometric question in this package reduces to a small linear
 system: does a strict sign pattern have a solution, does a closed
 chamber touch the window boundary, which flats make up the intersection
-poset.  All of them are decided here with Fraction arithmetic.  No
-floats enter any decision.
+poset.  All of them are decided here in exact integer and rational
+arithmetic.  No floats enter any decision.
 
 ``feasible_point`` is the one feasibility kernel.  It takes
 inequalities only: triples ``(a, b, strict)`` meaning ``a . x > b`` when
-strict and ``a . x >= b`` otherwise.  Fourier-Motzkin elimination with
-normalization-based pruning decides the system, and a rational witness
-point is rebuilt by back-substitution.  A caller that needs a flat
+strict and ``a . x >= b`` otherwise.  A caller that needs a flat
 substitutes it away first.  ``rref`` serves the intersection poset.
+
+Each input row is scaled once by a positive rational to a primitive
+integer row; rows that are already integral never touch Fraction.
+Fourier-Motzkin elimination then removes the last variable first, in
+integers: a lower row l and an upper row u combine to
+``(-u_k) * l + l_k * u``, divided by its gcd.  Before each step a
+dominance filter keeps one row per direction of ``a`` (rows are compared
+after dividing by the gcd of ``a``): the one with the largest right-hand
+side, and the strict one on a tie.  A dropped row is implied by the row
+kept, so the filter never changes the feasible set.
+
+The witness is rebuilt by back-substitution, the only place Fraction
+arithmetic runs.  It is canonical: given the coordinates already fixed,
+the rows that bound ``x_k`` describe exactly the fiber of the projected
+feasible set over them, because Fourier-Motzkin projections are exact.
+The value chosen for ``x_k`` (the midpoint of that interval, ``lo + 1``,
+``hi - 1`` or 0) is a function of that interval alone, so the witness
+depends only on the feasible set and not on which rows describe it.
+Scaling rows or dropping dominated ones cannot move it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-Ineq = tuple[tuple[Fraction, ...], Fraction, bool]
+Ineq = tuple[tuple[int, ...], int, bool]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -53,47 +70,51 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows[:r], pivots
 
 
-def _normalize(a, b, strict):
-    """Scale (a, b) by a positive rational to a primitive integer form."""
-    denom = 1
-    for v in list(a) + [b]:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in a] + [int(b * denom)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+def _row(a, b, strict):
+    """Scale ``a . x (>|>=) b`` by a positive rational to a primitive integer row."""
+    ints = [*a, b]
+    if not all(type(v) is int for v in ints):
+        values = [Fraction(v) for v in ints]
+        denom = lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (denom // v.denominator) for v in values]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return tuple(ints[:-1]), ints[-1], strict
 
 
-def _prune(dim, ineqs):
-    """Drop constants and duplicates; None signals a constant contradiction."""
-    seen = {}
-    for a, b, strict in ineqs:
-        if all(v == 0 for v in a):
+def _prune(rows):
+    """Keep the strongest row per direction; None on a constant contradiction."""
+    best = {}
+    for row in rows:
+        a, b, strict = row
+        g = gcd(*a)
+        if g == 0:
             if b > 0 or (strict and b == 0):
                 return None
             continue
-        key = _normalize(a, b, strict)[:2]
-        prev = seen.get(key)
-        if prev is None:
-            seen[key] = (a, b, strict)
-        elif strict and not prev[2]:
-            seen[key] = (a, b, strict)
-    return list(seen.values())
+        key = a if g == 1 else tuple(v // g for v in a)
+        prev = best.get(key)
+        if prev is not None:
+            # compare b / g with the kept row's right-hand side over its gcd
+            pg, (_, pb, pstrict) = prev
+            lead = b * pg - pb * g
+            if lead < 0 or (lead == 0 and (pstrict or not strict)):
+                continue
+        best[key] = (g, row)
+    return [row for _, row in best.values()]
 
 
-def _fm(dim, ineqs):
-    """Fourier-Motzkin core: witness tuple for a strict/weak system or None."""
-    ineqs = _prune(dim, ineqs)
-    if ineqs is None:
+def _fm(dim, rows):
+    """Fourier-Motzkin core on primitive integer rows: witness tuple or None."""
+    rows = _prune(rows)
+    if rows is None:
         return None
     if dim == 0:
         return ()
     k = dim - 1
     lows, ups, rest = [], [], []
-    for a, b, strict in ineqs:
+    for a, b, strict in rows:
         c = a[k]
         if c > 0:
             lows.append((a, b, strict))
@@ -101,13 +122,19 @@ def _fm(dim, ineqs):
             ups.append((a, b, strict))
         else:
             rest.append((a[:k], b, strict))
-    combos = []
     for la, lb, ls in lows:
+        lk = la[k]
+        lhead = la[:k]
         for ua, ub, us in ups:
-            c, f = la[k], ua[k]
-            coeffs = tuple(c * uv - f * lv for lv, uv in zip(la[:k], ua[:k]))
-            combos.append((coeffs, c * ub - f * lb, ls or us))
-    sub = _fm(k, rest + combos)
+            uk = -ua[k]
+            ints = [uk * lv + lk * uv for lv, uv in zip(lhead, ua)]
+            ints.append(uk * lb + lk * ub)
+            # inlined rather than shared with _row: this is the hot loop
+            g = gcd(*ints)
+            if g > 1:
+                ints = [v // g for v in ints]
+            rest.append((tuple(ints[:-1]), ints[-1], ls or us))
+    sub = _fm(k, rest)
     if sub is None:
         return None
     lo = max(((b - dot(a[:k], sub)) / a[k] for a, b, _ in lows), default=None)
@@ -128,16 +155,15 @@ def feasible_point(dim: int, ineqs) -> tuple[Fraction, ...] | None:
 
     The returned point satisfies every constraint exactly.
     """
-    ineqs = [(tuple(Fraction(v) for v in a), Fraction(b), s) for a, b, s in ineqs]
-    return _fm(dim, ineqs)
+    return _fm(dim, [_row(a, b, strict) for a, b, strict in ineqs])
 
 
 def box_constraints(dim: int, radius: Fraction, strict: bool = True) -> list[Ineq]:
-    """Constraints for the box (-radius, radius)^dim (or its closure)."""
+    """Integer rows ``+-q x_i > -p`` of the box (-p/q, p/q)^dim (or its closure)."""
+    radius = Fraction(radius)
+    p, q = radius.numerator, radius.denominator
     out = []
     for i in range(dim):
-        e = tuple(ONE if j == i else ZERO for j in range(dim))
-        ne = tuple(-v for v in e)
-        out.append((e, -radius, strict))
-        out.append((ne, -radius, strict))
+        for side in (q, -q):
+            out.append((tuple(side if j == i else 0 for j in range(dim)), -p, strict))
     return out

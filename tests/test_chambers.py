@@ -5,7 +5,6 @@ import pytest
 
 from floparr import (
     UnknownChamber,
-    WindowTooSmall,
     arrangement_from_json,
     build_affine,
     enumerate_chambers,
@@ -113,10 +112,15 @@ def test_unknown_chamber():
         g.chamber(99)
 
 
-def test_window_too_small():
-    arr = build_affine(parse_data("A1:J={}"), Fraction(1, 20000))
-    with pytest.raises(WindowTooSmall):
-        seed_chamber(arr)
+def test_seed_inside_tiny_window():
+    # below 1/9973 no prime probe fits; the fallback probes still find a seed
+    for radius in (Fraction(1, 20000), Fraction(1, 10**30)):
+        for text in ("A1:J={}", "A3:J={}"):
+            arr = build_affine(parse_data(text), radius)
+            seed = seed_chamber(arr)
+            assert all(-radius < v < radius for v in seed.witness), (text, radius)
+            for plane, s in zip(arr.hyperplanes, seed.signs):
+                assert s * (dot(plane.normal, seed.witness) - plane.level) > 0, (text, radius)
 
 
 def test_zaslavsky_boolean():
@@ -261,13 +265,29 @@ def test_walls_and_boundary_match_direct_systems(name):
         assert c.boundary == _boundary_reference(arr, c.signs), c.id
 
 
+def _a5_height_two():
+    # the nine roots of A5 of height at most 2: a central arrangement in dim 5
+    normals = sorted(
+        [1 if start <= i <= stop else 0 for i in range(5)]
+        for start in range(5)
+        for stop in range(start, min(start + 2, 5))
+    )
+    return arrangement_from_json({
+        "dim": 5,
+        "kind": "central",
+        "hyperplanes": [{"normal": n, "level": 0} for n in normals],
+    })
+
+
 @pytest.mark.parametrize(
     "arr, digest",
     [
         (lambda: central("A3:J={}"), "531e7fe2124ab93dc005e3d5e2adf71feb02bece3e4d7f1a76932a1bc2fa608c"),
         (lambda: affine("A2:J={}", Fraction(3, 2)), "d0ac71acb0554e8517afe9d22cac6c43fb552d4c75067140dfb06bb0d940a8d3"),
+        (lambda: affine("A3:J={}", 1), "8515f554ba4ce85f5355e62c63c88259492990198ba90e067745de3f3d5250f6"),
+        (_a5_height_two, "db07b3a005cd4be367413fec814d37190afc6d13394c6743e3724bc3717b12ac"),
     ],
-    ids=["A3", "A2 r=3/2"],
+    ids=["A3", "A2 r=3/2", "A3 r=1", "A5 height<=2"],
 )
 def test_graph_json_pinned(arr, digest):
     # ids, signs, edges, boundary flags and witnesses, byte for byte

@@ -228,7 +228,6 @@ EXIT_CODES = {
     errors.InvalidType: 2,
     errors.EmptySurvivingSet: 3,
     errors.MixedKinds: 1,
-    errors.WindowTooSmall: 1,
     errors.UnknownChamber: 5,
     errors.NonComposable: 1,
     errors.Unreachable: 1,
