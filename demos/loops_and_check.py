@@ -15,6 +15,7 @@ from floparr import (
     parse_data,
     parse_perm,
     relations,
+    rewrite_rules,
     word_of_path,
 )
 
@@ -49,6 +50,7 @@ print()
 print("Bounded rewriting proves the two opposite-chamber galleries equal:")
 far = g.id_of_signs((-1, -1, -1))
 first, second = atoms(g, 0, far)
-verdict = equal_in_groupoid(g, rels, word_of_path(first), word_of_path(second), depth=1)
+rules = rewrite_rules(rels)
+verdict = equal_in_groupoid(g, rules, word_of_path(first), word_of_path(second), depth=1)
 print(f"  {first.edges} vs {second.edges}: {verdict.name}")
 assert verdict is GroupoidEquality.PROVEN_EQUAL

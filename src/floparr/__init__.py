@@ -75,6 +75,7 @@ from .pi1 import (
     generators,
     loop_word,
     relations,
+    rewrite_rules,
     word_concat,
     word_end,
     word_from_json,

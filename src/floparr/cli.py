@@ -1,23 +1,25 @@
 """Command line front end.
 
-    floparr build "A3:J={1}" --central
-    floparr build "A2:J={}" --affine --radius 7/2
-    floparr chambers "A2:J={}" --central
-    floparr atoms "A2:J={}" --central --from 0 --to 5
-    floparr pi1 "A2:J={}" --central
-    floparr check "A2:J={}" --central --rep rep.json
+    floparr build "A3:J={1}"
+    floparr build "A2:J={}" --window 7/2
+    floparr chambers "A2:J={}"
+    floparr atoms "A2:J={}" --from 0 --to 5
+    floparr pi1 "A2:J={}"
+    floparr check "A2:J={}" --rep rep.json
     floparr plot "A2:J={}" --window 1 --out picture.svg
     floparr search-figure --lines 6 --max-rank 8
 
 Every command writes canonical JSON (or SVG) to stdout or --out and is
-byte deterministic.  ``--window R`` is shorthand for ``--affine
---radius R``.  Arrangements can also come from a JSON file via --in,
-which is how arrangements from arbitrary user matrices enter.
+byte deterministic.  A Dynkin data string gives the central
+arrangement; ``--window R``, the only kind flag, adds the integer
+translates that meet the open box |x_i| < R.  Arrangements can instead
+come from a JSON file via --in, with no data string and no --window;
+this is how arrangements from arbitrary user matrices enter.
 
 Exit codes: 0 success, 1 failed checks or any other error, 2 parse
-failure or unreadable/unwritable file, 3 empty surviving set, 4
-enumeration overflow, 5 unknown chamber id, 6 plot of a non rank-2
-arrangement.
+failure, conflicting arguments or an unreadable/unwritable file, 3
+empty surviving set, 4 enumeration overflow, 5 unknown chamber id, 6
+plot of a non rank-2 arrangement.
 """
 
 from __future__ import annotations
@@ -48,12 +50,11 @@ from .pi1 import (
     equal_in_groupoid,
     generators,
     relations,
+    rewrite_rules,
     word_of_path,
     word_to_json,
 )
 from .svgplot import arrangement_svg
-
-DEFAULT_RADIUS = Fraction(7, 2)
 
 
 def _parse_radius(text: str) -> Fraction:
@@ -67,8 +68,10 @@ def _parse_radius(text: str) -> Fraction:
 
 
 def _resolve_arrangement(args):
-    """Arrangement from a data string plus kind flags, or from --in JSON."""
+    """Arrangement from a data string and an optional --window, or from --in JSON."""
     if args.infile:
+        if args.data or args.window is not None:
+            raise ParseFailure("--in FILE takes no Dynkin data string and no --window")
         try:
             obj = json.loads(Path(args.infile).read_text())
             return arrangement_from_json(obj)
@@ -79,8 +82,6 @@ def _resolve_arrangement(args):
     data = parse_data(args.data)
     if args.window is not None:
         return build_affine(data, _parse_radius(args.window))
-    if args.affine:
-        return build_affine(data, _parse_radius(args.radius))
     return build_finite(data)
 
 
@@ -134,7 +135,7 @@ def cmd_pi1(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryContactWarning)
         gens = generators(graph, max_atoms_per_chamber=args.cap)
-        rels = relations(graph, length_cap=args.length_cap)
+    rels = relations(graph, length_cap=args.length_cap)
     report = {
         "generator_count": len(gens),
         "relation_count": len(rels),
@@ -160,9 +161,7 @@ def cmd_check(args) -> int:
         assignment = {int(k): parse_perm(v) for k, v in table.items()}
     except (OSError, ValueError, TypeError, AttributeError) as exc:
         raise ParseFailure(f"cannot load representation from {args.rep}: {exc}") from exc
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryContactWarning)
-        rels = relations(graph, length_cap=args.length_cap)
+    rels = relations(graph, length_cap=args.length_cap)
     report_obj = check_representation(graph, assignment, rels)
     report = {
         "relations": report_obj.checked,
@@ -170,10 +169,11 @@ def cmd_check(args) -> int:
         "ok": report_obj.ok,
     }
     if args.depth is not None:
+        rules = rewrite_rules(rels)
         proven = []
         for rel in rels:
             verdict = equal_in_groupoid(
-                graph, rels, word_of_path(rel.p), word_of_path(rel.q), args.depth
+                graph, rules, word_of_path(rel.p), word_of_path(rel.q), args.depth
             )
             proven.append(verdict is GroupoidEquality.PROVEN_EQUAL)
         report["rewrite_depth"] = args.depth
@@ -212,15 +212,17 @@ def cmd_search_figure(args) -> int:
     return 0
 
 
-def _add_input_args(parser, with_kind=True):
+def _depth(text: str) -> int:
+    depth = int(text)
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"depth must be at least 0, got {text}")
+    return depth
+
+
+def _add_input_args(parser):
     parser.add_argument("data", nargs="?", help='Dynkin data such as "A3:J={1}"')
     parser.add_argument("--in", dest="infile", metavar="FILE", help="arrangement JSON file")
-    if with_kind:
-        group = parser.add_mutually_exclusive_group()
-        group.add_argument("--central", action="store_true", help="finite arrangement (default)")
-        group.add_argument("--affine", action="store_true", help="integer translates in a window")
-        parser.add_argument("--radius", default=str(DEFAULT_RADIUS), metavar="p/q", help="window half-width")
-        parser.add_argument("--window", metavar="p/q", help="shorthand for --affine --radius p/q")
+    parser.add_argument("--window", metavar="p/q", help="add integer translates meeting the box |x_i| < p/q")
     parser.add_argument("--out", metavar="FILE", help="write here instead of stdout")
 
 
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--rep", required=True, metavar="FILE", help="JSON edge id -> cycle notation")
     p.add_argument("--length-cap", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None, help="also re-prove relations by rewriting")
+    p.add_argument("--depth", type=_depth, default=None, help="also re-prove relations by rewriting")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("plot", help="SVG of a rank-2 arrangement")

@@ -2,7 +2,15 @@
 
 A positive path crosses walls one at a time, never backwards.  The
 minimal-length positive paths between two chambers are the atoms; they
-cross exactly the hyperplanes separating the endpoints, once each.
+cross exactly the hyperplanes separating the endpoints, once each
+(Deligne 1972).  So atoms are read off sign vectors: from the source,
+follow only edges whose hyperplane still has a different sign at the
+current chamber and at the target.  Each edge flips one sign, so every
+such walk that reaches the target is minimal, and every minimal walk is
+one of them.  None gets stuck, because the window (all of space for a
+central arrangement) is convex: a generic segment from any other
+chamber to the target stays inside it and leaves that chamber through
+a wall that separates the two.
 
 Mutation bookkeeping is purely formal.  A label lists one summand
 symbol per wall of its chamber in increasing hyperplane order; crossing
@@ -78,20 +86,6 @@ def path_touches_boundary(graph: ChamberGraph, path: PositivePath) -> bool:
     return False
 
 
-def _distances(graph: ChamberGraph, start: int) -> dict[int, int]:
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e in graph.out_edges(v):
-                if e.target not in dist:
-                    dist[e.target] = dist[v] + 1
-                    nxt.append(e.target)
-        frontier = nxt
-    return dist
-
-
 def atoms(graph: ChamberGraph, source: int, target: int, cap: int = DEFAULT_ATOM_CAP) -> list[PositivePath]:
     """All minimal positive paths from source to target, lexicographic by edge ids.
 
@@ -101,12 +95,7 @@ def atoms(graph: ChamberGraph, source: int, target: int, cap: int = DEFAULT_ATOM
     boundary-flagged chamber.
     """
     graph.chamber(source)
-    graph.chamber(target)
-    dist = _distances(graph, source)
-    if target not in dist:
-        raise Unreachable(f"no positive path from {source} to {target}")
-    back = _distances(graph, target)
-    total = dist[target]
+    goal = graph.chamber(target).signs
     out = []
     trail = []
 
@@ -116,13 +105,16 @@ def atoms(graph: ChamberGraph, source: int, target: int, cap: int = DEFAULT_ATOM
                 raise Overflow(f"more than {cap} atoms from {source} to {target}")
             out.append(PositivePath(source, tuple(trail)))
             return
+        signs = graph.chambers[at].signs
         for e in graph.out_edges(at):
-            if dist[at] + 1 + back.get(e.target, -2) == total:
+            if signs[e.hyperplane] != goal[e.hyperplane]:
                 trail.append(e.id)
                 grow(e.target)
                 trail.pop()
 
     grow(source)
+    if not out:
+        raise Unreachable(f"no positive path from {source} to {target}")
     if graph.arrangement.is_affine and any(path_touches_boundary(graph, p) for p in out):
         warnings.warn(
             f"some atoms from {source} to {target} touch the window boundary",

@@ -30,7 +30,9 @@ from .galleries import (
     BoundaryContactWarning,
     PositivePath,
     atoms,
+    path_target,
     path_touches_boundary,
+    separating_set,
 )
 
 
@@ -99,9 +101,7 @@ def base_chamber(graph: ChamberGraph) -> int:
 
 def loop_word(graph: ChamberGraph, atom: PositivePath, wall: int) -> GroupoidWord:
     """word(atom) e_i f_i word(atom)^{-1} around the given wall."""
-    end = atom.source
-    for eid in atom.edges:
-        end = graph.edges[eid].target
+    end = path_target(graph, atom)
     out = graph.edge_across(end, wall)
     if out is None:
         raise NonComposable(f"hyperplane {wall} is not a wall of chamber {end}")
@@ -145,33 +145,22 @@ def generators(graph: ChamberGraph, max_atoms_per_chamber: int = DEFAULT_ATOM_CA
 def relations(graph: ChamberGraph, length_cap: int | None = None) -> list[Relation]:
     """All unordered pairs of distinct atoms over ordered chamber pairs.
 
-    A pair enters when the common atom length is within the cap.  The
-    same unordered chamber pair appears in both orientations.
+    A pair enters when the common atom length, the number of hyperplanes
+    separating its ends, is within the cap.  The same unordered chamber
+    pair appears in both orientations.
     """
     out = []
-    ids = [c.id for c in graph.chambers]
-    for source in ids:
-        dist_atoms = _atoms_by_target(graph, source)
-        for target in ids:
-            if source == target:
-                continue
-            found = dist_atoms.get(target, [])
-            if len(found) < 2:
-                continue
-            if length_cap is not None and len(found[0].edges) > length_cap:
-                continue
-            for i in range(len(found)):
-                for j in range(i + 1, len(found)):
-                    out.append(Relation(found[i], found[j]))
-    return out
-
-
-def _atoms_by_target(graph: ChamberGraph, source: int) -> dict[int, list[PositivePath]]:
-    out = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryContactWarning)
-        for chamber in graph.chambers:
-            out[chamber.id] = atoms(graph, source, chamber.id)
+        for source in graph.chambers:
+            for target in graph.chambers:
+                length = len(separating_set(graph, source.id, target.id))
+                if length < 2 or (length_cap is not None and length > length_cap):
+                    continue
+                found = atoms(graph, source.id, target.id)
+                for i in range(len(found)):
+                    for j in range(i + 1, len(found)):
+                        out.append(Relation(found[i], found[j]))
     return out
 
 
@@ -227,8 +216,8 @@ def _cancellations(letters):
             yield letters[:i] + letters[i + 2 :]
 
 
-def _swaps(letters, patterns):
-    for old, new in patterns:
+def _swaps(letters, rules):
+    for old, new in rules:
         width = len(old)
         if width == 0 or width > len(letters):
             continue
@@ -237,20 +226,23 @@ def _swaps(letters, patterns):
                 yield letters[:i] + new + letters[i + width :]
 
 
-def _relation_patterns(rels):
-    patterns = []
+def rewrite_rules(rels) -> list:
+    """The prover's rewrite patterns: each relation in both directions,
+    and both inverted.  Build them once and pass them to every
+    ``equal_in_groupoid`` call over the same relations."""
+    rules = []
     for rel in rels:
         p = tuple((eid, 1) for eid in rel.p.edges)
         q = tuple((eid, 1) for eid in rel.q.edges)
         pinv = tuple((eid, -1) for eid in reversed(rel.p.edges))
         qinv = tuple((eid, -1) for eid in reversed(rel.q.edges))
-        patterns += [(p, q), (q, p), (pinv, qinv), (qinv, pinv)]
-    return patterns
+        rules += [(p, q), (q, p), (pinv, qinv), (qinv, pinv)]
+    return rules
 
 
 def equal_in_groupoid(
     graph: ChamberGraph,
-    rels,
+    rules,
     first: GroupoidWord,
     second: GroupoidWord,
     depth: int,
@@ -259,13 +251,13 @@ def equal_in_groupoid(
 
     Rewrites are free cancellation of adjacent inverse letters and
     replacement of one relation side by the other (either orientation,
-    or both inverted).  Each side is expanded up to ``depth`` rewrites.
+    or both inverted), with ``rules`` from ``rewrite_rules``.  Each side
+    is expanded up to ``depth`` rewrites.
     """
     if first.base != second.base:
         raise BaseMismatch(f"bases {first.base} and {second.base} differ")
     if word_end(graph, first) != word_end(graph, second):
         raise BaseMismatch("word endpoints differ")
-    patterns = _relation_patterns(rels)
     seen = ({first.letters}, {second.letters})
     frontier = ([first.letters], [second.letters])
     if first.letters in seen[1]:
@@ -275,7 +267,7 @@ def equal_in_groupoid(
         for side in (0, 1):
             fresh = []
             for letters in frontier[side]:
-                for rewritten in list(_cancellations(letters)) + list(_swaps(letters, patterns)):
+                for rewritten in list(_cancellations(letters)) + list(_swaps(letters, rules)):
                     if rewritten in seen[1 - side]:
                         return GroupoidEquality.PROVEN_EQUAL
                     if rewritten not in seen[side]:

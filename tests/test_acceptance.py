@@ -32,6 +32,7 @@ from floparr import (
     product_arrangement,
     region_count_zaslavsky,
     relations,
+    rewrite_rules,
     separating_set,
     word_of_path,
 )
@@ -217,17 +218,17 @@ def test_09_cli_outputs():
 
 def test_10_groupoid_equality():
     g = central_graph("A2:J={}")
-    rels = relations(g)
+    rules = rewrite_rules(relations(g))
 
     e = g.out_edges(0)[0]
     back = g.edge_across(e.target, e.hyperplane)
     out_and_back = GroupoidWord(0, ((e.id, 1), (back.id, 1), (back.id, -1), (e.id, -1)))
     empty = GroupoidWord(0, ())
-    cancel = equal_in_groupoid(g, rels, out_and_back, empty, depth=2)
+    cancel = equal_in_groupoid(g, rules, out_and_back, empty, depth=2)
 
     far = g.id_of_signs((-1, -1, -1))
     pair = atoms(g, 0, far)
-    braid = equal_in_groupoid(g, rels, word_of_path(pair[0]), word_of_path(pair[1]), depth=1)
+    braid = equal_in_groupoid(g, rules, word_of_path(pair[0]), word_of_path(pair[1]), depth=1)
 
     # soundness fuzz: words with different net crossings must never be
     # proven equal
@@ -257,7 +258,7 @@ def test_10_groupoid_equality():
                 continue
             if crossing_homomorphism(g, w_i) == crossing_homomorphism(g, w_j):
                 continue
-            verdict = equal_in_groupoid(g, rels, w_i, w_j, depth=1)
+            verdict = equal_in_groupoid(g, rules, w_i, w_j, depth=1)
             if verdict is GroupoidEquality.PROVEN_EQUAL:
                 sound = False
             tried += 1

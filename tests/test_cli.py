@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,9 +11,9 @@ from floparr import errors
 CLI = [sys.executable, "-m", "floparr.cli"]
 
 
-def run(*argv, check=False):
+def run(*argv, check=False, timeout=None):
     proc = subprocess.run(
-        CLI + list(argv), capture_output=True, text=True, env=os.environ.copy()
+        CLI + list(argv), capture_output=True, text=True, env=os.environ.copy(), timeout=timeout
     )
     if check:
         assert proc.returncode == 0, proc.stderr
@@ -34,10 +35,13 @@ def test_build_window_shorthand():
 
 
 def test_build_affine_radius():
-    a = run("build", "A1:J={}", "--affine", "--radius", "5/2", check=True)
-    b = run("build", "A1:J={}", "--window", "5/2", check=True)
-    assert a.stdout == b.stdout
-    doc = json.loads(a.stdout)
+    # --window is the only kind flag; --affine, --radius and --central are gone
+    for flags in (["--affine"], ["--affine", "--radius", "5/2"], ["--radius", "5/2"], ["--central"]):
+        proc = run("build", "A1:J={}", *flags)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments" in proc.stderr
+    doc = json.loads(run("build", "A1:J={}", "--window", "5/2", check=True).stdout)
     assert [h["level"] for h in doc["hyperplanes"]] == [-2, -1, 0, 1, 2]
 
 
@@ -92,6 +96,16 @@ def test_in_file_round_trip(tmp_path):
     direct = run("chambers", "A3:J={1}", check=True).stdout
     loaded = run("chambers", "--in", str(path), check=True).stdout
     assert direct == loaded
+
+
+@pytest.mark.parametrize("extra", [["A3:J={1}"], ["--window", "1"]], ids=["data", "window"])
+def test_in_file_takes_no_other_input(tmp_path, extra):
+    path = tmp_path / "arr.json"
+    path.write_text(run("build", "A3:J={1}", check=True).stdout)
+    proc = run("chambers", "--in", str(path), *extra)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "floparr: --in FILE takes no Dynkin data string and no --window\n"
 
 
 @pytest.mark.parametrize(
@@ -177,6 +191,56 @@ def test_check_with_rewrite_depth(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["rewrite_depth"] == 1
     assert doc["rewrite_proven"] == [True] * 6
+
+
+# edges across hyperplane h act as the (h+1)-st power of one 7-cycle, so
+# any two atoms with common ends fold to the same permutation
+A3_POWERS = ["(0 1 2 3 4 5 6)", "(0 2 4 6 1 3 5)", "(0 3 6 2 5 1 4)",
+             "(0 4 1 5 2 6 3)", "(0 5 3 1 6 4 2)", "(0 6 5 4 3 2 1)"]
+
+
+def _a3_rep(tmp_path):
+    rep = tmp_path / "rep.json"
+    edges = json.loads(run("chambers", "A3:J={}", check=True).stdout)["edges"]
+    rep.write_text(json.dumps({str(i): A3_POWERS[e["hyperplane"]] for i, e in enumerate(edges)}))
+    return str(rep)
+
+
+def test_check_negative_depth(tmp_path):
+    proc = run("check", "A2:J={}", "--rep", str(tmp_path / "unread.json"), "--depth", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "depth must be at least 0" in proc.stderr
+
+
+def test_check_uncapped_depth_zero(tmp_path):
+    # all 4152 relations go through the prover; its rewrite rules are
+    # built once per check, not once per relation
+    proc = run("check", "A3:J={}", "--rep", _a3_rep(tmp_path), "--depth", "0", timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["relations"], doc["ok"], doc["rewrite_depth"]) == (4152, True, 0)
+    assert doc["rewrite_proven"] == [False] * 4152
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["pi1", "A3:J={}"], "e249f48ab5f0fb13fb8a9d5ff94f93fef984e0a3ab071f59bc8c4c4d3e566be0"),
+        (["pi1", "A2:J={}", "--window", "3/2"], "a0ace301dd1bfbbb7abcf6667375a8058bb7d6763ed1476f8c57318d83dfee99"),
+        (
+            ["check", "A3:J={}", "--rep", "{rep}", "--length-cap", "4", "--depth", "2"],
+            "b610927107da9b9961eee3b6e8b8323a718660d4207f8d0e64f50bfae69c13b4",
+        ),
+    ],
+    ids=["pi1 A3", "pi1 A2 window 3/2", "check A3 cap 4 depth 2"],
+)
+def test_groupoid_outputs_pinned(tmp_path, argv, digest):
+    # sha256 of the canonical JSON; a change in atom order, relations or
+    # prover verdicts shows up here
+    argv = [_a3_rep(tmp_path) if a == "{rep}" else a for a in argv]
+    proc = run(*argv, check=True)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 def test_plot_line_elements():

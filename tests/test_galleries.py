@@ -13,6 +13,7 @@ from floparr import (
     atoms,
     compose,
     crossings,
+    enumerate_chambers,
     initial_label,
     is_reduced,
     mutate_symbol,
@@ -21,12 +22,14 @@ from floparr import (
     path_target,
     path_to_json,
     path_touches_boundary,
+    product_arrangement,
     separating_set,
 )
 from floparr.chambers import ChamberGraph
 
 from helpers import (
     affine_graph,
+    central,
     central_graph,
     chamber_sequence,
     nx_shortest_chamber_sequences,
@@ -98,7 +101,10 @@ def test_atom_law_against_networkx():
         central_graph("A3:J={}"),
         affine_graph("A1:J={}", Fraction(5, 2)),
         affine_graph("A2:J={}", Fraction(3, 2)),
+        affine_graph("D4:J={0,2}", 1),
+        enumerate_chambers(product_arrangement(central("A2:J={}"), central("A1:J={}"))),
     ]
+    assert [len(g.chambers) for g in cases[-2:]] == [16, 12]
     for g in cases:
         ids = [c.id for c in g.chambers]
         for s in ids:
@@ -108,6 +114,7 @@ def test_atom_law_against_networkx():
                     got = atoms(g, s, t)
                 expect = nx_shortest_chamber_sequences(g, s, t)
                 assert sorted(chamber_sequence(g, p) for p in got) == sorted(expect)
+                assert [p.edges for p in got] == sorted(p.edges for p in got)
                 sep = separating_set(g, s, t)
                 for p in got:
                     order = crossings(g, p)

@@ -10,6 +10,7 @@ from floparr import (
     GroupoidEquality,
     GroupoidWord,
     MissingEdgeAssignment,
+    NonComposable,
     Perm,
     PositivePath,
     atoms,
@@ -21,6 +22,7 @@ from floparr import (
     loop_word,
     parse_perm,
     relations,
+    rewrite_rules,
     word_concat,
     word_end,
     word_from_json,
@@ -92,6 +94,8 @@ def test_loop_word_shape():
     assert word_end(g, w) == 0
     signs = [s for _, s in w.letters]
     assert signs == [1] * (len(p) + 2) + [-1] * len(p)
+    with pytest.raises(NonComposable):
+        loop_word(g, PositivePath(0, (g.out_edges(1)[0].id,)), 0)
 
 
 def test_a2_relation_count():
@@ -210,10 +214,10 @@ def test_equal_antipodal_atoms():
     g = central_graph("A2:J={}")
     far = g.id_of_signs((-1, -1, -1))
     pair = atoms(g, 0, far)
-    rels = relations(g)
+    rules = rewrite_rules(relations(g))
     first = word_of_path(pair[0])
     second = word_of_path(pair[1])
-    assert equal_in_groupoid(g, rels, first, second, depth=1) is GroupoidEquality.PROVEN_EQUAL
+    assert equal_in_groupoid(g, rules, first, second, depth=1) is GroupoidEquality.PROVEN_EQUAL
 
 
 def test_unequal_words_stay_unknown():
@@ -225,7 +229,7 @@ def test_unequal_words_stay_unknown():
     # same endpoints, different net crossings
     assert word_end(g, a) == word_end(g, b)
     assert crossing_homomorphism(g, a) != crossing_homomorphism(g, b)
-    assert equal_in_groupoid(g, relations(g), a, b, depth=3) is GroupoidEquality.UNKNOWN
+    assert equal_in_groupoid(g, rewrite_rules(relations(g)), a, b, depth=3) is GroupoidEquality.UNKNOWN
 
 
 def test_equal_requires_same_base():
