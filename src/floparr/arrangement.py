@@ -15,9 +15,9 @@ identical JSON.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
 from .dynkin import DynkinData, positive_roots
@@ -186,6 +186,103 @@ def arrangement_from_json(obj: dict) -> Arrangement:
     return Arrangement(dim, radius, tuple(planes))
 
 
-def dumps(obj: dict) -> str:
-    """Canonical JSON rendering used for every artifact this package emits."""
-    return json.dumps(obj, indent=2) + "\n"
+class Rendered:
+    """A value's JSON text, rendered once and spliced by ``dumps`` at any depth.
+
+    A report that repeats one value many times (an atom recurs in every
+    relation of its chamber pair) renders it once instead of walking it
+    at each occurrence.
+    """
+
+    __slots__ = ("nl", "text")
+
+    def __init__(self, obj):
+        self.nl, self.text = "\n", dumps(obj)[:-1]
+
+    def at(self, nl: str) -> str:
+        """The text for a value that starts on a line indented as ``nl``.
+
+        Every line break in the text is followed by the current indent, so
+        re-indenting is one replace; the last indent is kept.
+        """
+        if nl != self.nl:
+            self.nl, self.text = nl, self.text.replace(self.nl, nl)
+        return self.text
+
+
+_FLUSH = 1 << 14  # buffered pieces per write while streaming
+
+
+def _encode(value, nl, buf, write):
+    """Append the JSON text of ``value`` to ``buf``, indented as ``nl``.
+
+    A full ``buf`` is handed to ``write`` between container items.
+    """
+    if isinstance(value, dict):
+        if not value:
+            buf.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise TypeError(f"JSON object keys must be str, not {type(k).__name__}")
+            buf.append(sep + _quote(k) + ": ")
+            _encode(v, inner, buf, write)
+            sep = "," + inner
+            if len(buf) > _FLUSH:
+                write("".join(buf))
+                buf.clear()
+        buf.append(nl + "}")
+    elif isinstance(value, list):
+        if not value:
+            buf.append("[]")
+            return
+        inner = nl + "  "
+        if all(type(v) is int for v in value):
+            buf.append("[" + inner + ("," + inner).join(map(str, value)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in value:
+            buf.append(sep)
+            _encode(v, inner, buf, write)
+            sep = "," + inner
+            if len(buf) > _FLUSH:
+                write("".join(buf))
+                buf.clear()
+        buf.append(nl + "]")
+    elif isinstance(value, Rendered):
+        buf.append(value.at(nl))
+    elif isinstance(value, str):
+        buf.append(_quote(value))
+    elif value is None:
+        buf.append("null")
+    elif value is True:
+        buf.append("true")
+    elif value is False:
+        buf.append("false")
+    elif isinstance(value, int):
+        buf.append(int.__repr__(value))
+    else:
+        raise TypeError(f"cannot emit {type(value).__name__} as JSON")
+
+
+def dumps(obj, write=None):
+    """The one JSON emitter: the bytes of ``json.dumps(obj, indent=2) + "\n"``.
+
+    It takes dicts with str keys, lists, str, int, bool, None and
+    ``Rendered`` text, and raises TypeError on anything else.  Without
+    ``write`` it returns the text.  With it, the text goes to ``write``
+    in chunks of bounded size and is never built whole, so a report of
+    any length streams in bounded memory.  (``json.dumps`` with an
+    indent runs CPython's pure-Python encoder, several times slower.)
+    """
+    chunks = None
+    if write is None:
+        chunks = []
+        write = chunks.append
+    buf = []
+    _encode(obj, "\n", buf, write)
+    buf.append("\n")
+    write("".join(buf))
+    return None if chunks is None else "".join(chunks)

@@ -26,12 +26,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .arrangement import (
+    Rendered,
     arrangement_from_json,
     arrangement_to_json,
     build_affine,
@@ -85,18 +88,30 @@ def _resolve_arrangement(args):
     return build_finite(data)
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            raise ParseFailure(f"cannot write {args.out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+def _emit(args, report) -> None:
+    """Stream a report, canonical JSON or SVG text, to --out or stdout.
+
+    Callers build the whole report first, so a failure leaves no output.
+    """
+
+    def send(write):
+        if isinstance(report, str):
+            write(report)
+        else:
+            dumps(report, write)
+
+    if not args.out:
+        send(sys.stdout.write)
+        return
+    try:
+        with open(args.out, "w") as f:
+            send(f.write)
+    except OSError as exc:
+        raise ParseFailure(f"cannot write {args.out}: {exc}") from exc
 
 
 def cmd_build(args) -> int:
-    _emit(args, dumps(arrangement_to_json(_resolve_arrangement(args))))
+    _emit(args, arrangement_to_json(_resolve_arrangement(args)))
     return 0
 
 
@@ -109,7 +124,7 @@ def cmd_chambers(args) -> int:
         "chambers": body["chambers"],
         "edges": body["edges"],
     }
-    _emit(args, dumps(report))
+    _emit(args, report)
     return 0
 
 
@@ -126,7 +141,7 @@ def cmd_atoms(args) -> int:
         "boundary_touching": sum(1 for p in found if path_touches_boundary(graph, p)),
         "atoms": [path_to_json(p) for p in found],
     }
-    _emit(args, dumps(report))
+    _emit(args, report)
     return 0
 
 
@@ -136,6 +151,8 @@ def cmd_pi1(args) -> int:
         warnings.simplefilter("ignore", BoundaryContactWarning)
         gens = generators(graph, max_atoms_per_chamber=args.cap)
     rels = relations(graph, length_cap=args.length_cap)
+    # an atom recurs in every relation of its chamber pair: render it once
+    atom_json = cache(lambda path: Rendered(path_to_json(path)))
     report = {
         "generator_count": len(gens),
         "relation_count": len(rels),
@@ -148,9 +165,9 @@ def cmd_pi1(args) -> int:
             }
             for g in gens
         ],
-        "relations": [{"p": path_to_json(r.p), "q": path_to_json(r.q)} for r in rels],
+        "relations": [{"p": atom_json(r.p), "q": atom_json(r.q)} for r in rels],
     }
-    _emit(args, dumps(report))
+    _emit(args, report)
     return 0
 
 
@@ -178,7 +195,7 @@ def cmd_check(args) -> int:
             proven.append(verdict is GroupoidEquality.PROVEN_EQUAL)
         report["rewrite_depth"] = args.depth
         report["rewrite_proven"] = proven
-    _emit(args, dumps(report))
+    _emit(args, report)
     return 0 if report_obj.ok else 1
 
 
@@ -208,7 +225,7 @@ def cmd_search_figure(args) -> int:
         count = len(build_finite(data).hyperplanes)
         if count == args.lines:
             matches.append({"data": str(data), "hyperplanes": count})
-    _emit(args, dumps({"target": args.lines, "matches": matches}))
+    _emit(args, {"target": args.lines, "matches": matches})
     return 0
 
 
@@ -280,10 +297,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except FloparrError as exc:
         print(f"floparr: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the flush at
+        # interpreter exit stays quiet (recipe of the signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 if __name__ == "__main__":
     sys.exit(main())

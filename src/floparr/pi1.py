@@ -217,26 +217,37 @@ def _cancellations(letters):
 
 
 def _swaps(letters, rules):
-    for old, new in rules:
-        width = len(old)
-        if width == 0 or width > len(letters):
-            continue
-        for i in range(len(letters) - width + 1):
-            if letters[i : i + width] == old:
-                yield letters[:i] + new + letters[i + width :]
+    """Each one-rule rewrite, ordered by rule index and then by position."""
+    hits = []
+    for i, letter in enumerate(letters):
+        for index, old, new in rules.get(letter, ()):
+            if letters[i : i + len(old)] == old:
+                hits.append((index, i, len(old), new))
+    hits.sort()
+    for _, i, width, new in hits:
+        yield letters[:i] + new + letters[i + width :]
 
 
-def rewrite_rules(rels) -> list:
+def rewrite_rules(rels) -> dict:
     """The prover's rewrite patterns: each relation in both directions,
     and both inverted.  Build them once and pass them to every
-    ``equal_in_groupoid`` call over the same relations."""
-    rules = []
+    ``equal_in_groupoid`` call over the same relations.
+
+    They are grouped by first letter, as ``letter -> [(index, old,
+    new), ...]``, so a word is matched only against rules that start
+    with one of its letters; ``index`` keeps the order of the full list.
+    """
+    rules = {}
+    index = 0
     for rel in rels:
         p = tuple((eid, 1) for eid in rel.p.edges)
         q = tuple((eid, 1) for eid in rel.q.edges)
         pinv = tuple((eid, -1) for eid in reversed(rel.p.edges))
         qinv = tuple((eid, -1) for eid in reversed(rel.q.edges))
-        rules += [(p, q), (q, p), (pinv, qinv), (qinv, pinv)]
+        for old, new in ((p, q), (q, p), (pinv, qinv), (qinv, pinv)):
+            if old:
+                rules.setdefault(old[0], []).append((index, old, new))
+            index += 1
     return rules
 
 
@@ -251,9 +262,11 @@ def equal_in_groupoid(
 
     Rewrites are free cancellation of adjacent inverse letters and
     replacement of one relation side by the other (either orientation,
-    or both inverted), with ``rules`` from ``rewrite_rules``.  Each side
+    or both inverted), with ``rules`` from ``rewrite_rules``; empty
+    ``rules`` (``{}`` or ``[]``) leave free cancellation only.  Each side
     is expanded up to ``depth`` rewrites.
     """
+    rules = rules or {}
     if first.base != second.base:
         raise BaseMismatch(f"bases {first.base} and {second.base} differ")
     if word_end(graph, first) != word_end(graph, second):

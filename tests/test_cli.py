@@ -223,17 +223,36 @@ def test_check_uncapped_depth_zero(tmp_path):
     assert doc["rewrite_proven"] == [False] * 4152
 
 
+def test_check_uncapped_depth_one(tmp_path):
+    # all 4152 relations through the prover at depth 1, where it matches
+    # each word against 16608 rewrite rules; 48 s before rules were indexed
+    # by first letter, so the timeout catches a return to the full scan
+    proc = run("check", "A3:J={}", "--rep", _a3_rep(tmp_path), "--depth", "1", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["relations"], doc["ok"], doc["rewrite_depth"]) == (4152, True, 1)
+    # verdicts and bytes as computed before the index
+    assert doc["rewrite_proven"] == [True] * 4152
+    digest = "9ff60e781511957fc5dfd857cbbfadc1c2a236e856e1c5e82549f668c71954db"
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
         (["pi1", "A3:J={}"], "e249f48ab5f0fb13fb8a9d5ff94f93fef984e0a3ab071f59bc8c4c4d3e566be0"),
         (["pi1", "A2:J={}", "--window", "3/2"], "a0ace301dd1bfbbb7abcf6667375a8058bb7d6763ed1476f8c57318d83dfee99"),
+        # 95444 relations, 56 MB of JSON streamed in chunks
+        (
+            ["pi1", "D4:J={0,2}", "--window", "3/2"],
+            "5ac4db81086e9feeaf9ebc8cdd995f232111fd2f4cde37adfa997b75dbc23f80",
+        ),
         (
             ["check", "A3:J={}", "--rep", "{rep}", "--length-cap", "4", "--depth", "2"],
             "b610927107da9b9961eee3b6e8b8323a718660d4207f8d0e64f50bfae69c13b4",
         ),
     ],
-    ids=["pi1 A3", "pi1 A2 window 3/2", "check A3 cap 4 depth 2"],
+    ids=["pi1 A3", "pi1 A2 window 3/2", "pi1 D4:J={0,2} window 3/2", "check A3 cap 4 depth 2"],
 )
 def test_groupoid_outputs_pinned(tmp_path, argv, digest):
     # sha256 of the canonical JSON; a change in atom order, relations or
@@ -241,6 +260,34 @@ def test_groupoid_outputs_pinned(tmp_path, argv, digest):
     argv = [_a3_rep(tmp_path) if a == "{rep}" else a for a in argv]
     proc = run(*argv, check=True)
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_pi1_out_file_matches_stdout(tmp_path):
+    target = tmp_path / "pi1.json"
+    proc = run("pi1", "A3:J={}", "--out", str(target), check=True)
+    assert proc.stdout == ""
+    assert target.read_bytes() == run("pi1", "A3:J={}", check=True).stdout.encode()
+
+
+def test_pi1_failure_writes_nothing():
+    # generators overflow at --cap 1; the relations are never emitted in part
+    proc = run("pi1", "A3:J={}", "--cap", "1")
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("floparr: ")
+
+
+def test_closed_stdout_is_quiet():
+    # the reader goes away before any output, as in `floparr ... | head -c 0`
+    proc = subprocess.Popen(
+        CLI + ["chambers", "A4:J={}"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=os.environ.copy()
+    )
+    proc.stdout.read(0)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr
 
 
 def test_plot_line_elements():

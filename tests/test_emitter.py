@@ -1,0 +1,83 @@
+"""The JSON emitter against the standard library's ``json.dumps``."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from floparr.arrangement import Rendered, dumps
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+# next to plain ones, so that every escaping rule of json.dumps is hit
+SPECIAL = '"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u20ac\u2028\U0001f600 ab'
+text = st.text(alphabet=st.sampled_from(SPECIAL) | st.characters(), max_size=12)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**80), max_value=10**80)
+    | text
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(text, inner, max_size=6),
+    max_leaves=20,
+)
+
+
+def reference(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(values)
+def test_bytes_equal_json_dumps(obj):
+    assert dumps(obj) == reference(obj)
+    chunks = []
+    assert dumps(obj, chunks.append) is None
+    assert "".join(chunks) == reference(obj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values, st.lists(st.sampled_from(["list", "dict"]), max_size=4))
+def test_rendered_splices_at_any_depth(obj, nesting):
+    # a Rendered value emits the bytes of the value itself, at the depth
+    # where it sits, and keeps doing so when reused at another depth
+    shared = Rendered(obj)
+    plain, spliced = obj, shared
+    for kind in nesting:
+        plain = [1, plain] if kind == "list" else {"k": plain, "z": [plain]}
+        spliced = [1, spliced] if kind == "list" else {"k": spliced, "z": [spliced]}
+    assert dumps(spliced) == reference(plain)
+    assert dumps([shared, {"x": shared}]) == reference([obj, {"x": obj}])
+
+
+def test_empty_and_int_only_containers():
+    for obj in ({}, [], [[]], {"a": {}}, [1, -2, 10**30], [True, 1], [1, None], {"": [0]}):
+        assert dumps(obj) == reference(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.5, [0.0], {"x": Fraction(1, 2)}, {(1, 2): 3}, {1: "int key"}, (1, 2), [b"bytes"], {"s": {1, 2}}],
+    ids=["float", "float in list", "Fraction", "tuple key", "int key", "tuple", "bytes", "set"],
+)
+def test_other_types_raise(obj):
+    with pytest.raises(TypeError):
+        dumps(obj)
+    with pytest.raises(TypeError):
+        dumps(obj, lambda chunk: None)
+
+
+def test_streams_in_bounded_chunks():
+    report = {"relations": [{"p": {"source": i, "edges": [i, i + 1]}, "q": [str(i)]} for i in range(20000)]}
+    chunks = []
+    dumps(report, chunks.append)
+    whole = "".join(chunks)
+    assert whole == reference(report)
+    assert len(chunks) >= 5
+    assert max(len(c) for c in chunks) < len(whole) // 4

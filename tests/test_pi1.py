@@ -232,6 +232,36 @@ def test_unequal_words_stay_unknown():
     assert equal_in_groupoid(g, rewrite_rules(relations(g)), a, b, depth=3) is GroupoidEquality.UNKNOWN
 
 
+def _full_scan_swaps(letters, flat_rules):
+    # the prover's rule scan before rules were indexed: every rule at
+    # every position, in rule order and then position order
+    for old, new in flat_rules:
+        for i in range(len(letters) - len(old) + 1):
+            if letters[i : i + len(old)] == old:
+                yield letters[:i] + new + letters[i + len(old) :]
+
+
+def test_indexed_swaps_match_full_scan():
+    import random
+
+    from floparr.pi1 import _swaps
+
+    g = affine_graph("A2:J={}", "3/2")
+    rels = relations(g)
+    rules = rewrite_rules(rels)
+    flat = sorted((index, old, new) for group in rules.values() for index, old, new in group)
+    assert [index for index, _, _ in flat] == list(range(4 * len(rels)))
+    flat = [(old, new) for _, old, new in flat]
+    rng = random.Random(5)
+    words = [tuple((eid, 1) for eid in rel.p.edges) for rel in rels[:10]]
+    letters = sorted({letter for old, _ in flat for letter in old})
+    words += [tuple(rng.choice(letters) for _ in range(rng.randrange(9))) for _ in range(25)]
+    # splice rule sides together so that one word holds several matches
+    words += [rng.choice(flat)[0] + rng.choice(flat)[1] + rng.choice(flat)[0] for _ in range(25)]
+    for word in words:
+        assert list(_swaps(word, rules)) == list(_full_scan_swaps(word, flat))
+
+
 def test_equal_requires_same_base():
     g = central_graph("A2:J={}")
     with pytest.raises(BaseMismatch):
