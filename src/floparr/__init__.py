@@ -68,6 +68,7 @@ from .pi1 import (
     GroupoidWord,
     Pi1Generator,
     Relation,
+    atom_groups,
     base_chamber,
     check_representation,
     crossing_homomorphism,

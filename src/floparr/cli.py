@@ -30,7 +30,6 @@ import os
 import sys
 import warnings
 from fractions import Fraction
-from functools import cache
 from pathlib import Path
 
 from .arrangement import (
@@ -48,6 +47,7 @@ from .galleries import DEFAULT_ATOM_CAP, BoundaryContactWarning, atoms, path_to_
 from .perms import parse_perm
 from .pi1 import (
     GroupoidEquality,
+    atom_groups,
     check_representation,
     crossing_homomorphism,
     equal_in_groupoid,
@@ -150,9 +150,10 @@ def cmd_pi1(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryContactWarning)
         gens = generators(graph, max_atoms_per_chamber=args.cap)
-    rels = relations(graph, length_cap=args.length_cap)
-    # an atom recurs in every relation of its chamber pair: render it once
-    atom_json = cache(lambda path: Rendered(path_to_json(path)))
+    rels = []
+    for group in atom_groups(graph, args.length_cap):
+        rendered = [Rendered(path_to_json(path)) for path in group]
+        rels += ({"p": p, "q": q} for i, p in enumerate(rendered) for q in rendered[i + 1 :])
     report = {
         "generator_count": len(gens),
         "relation_count": len(rels),
@@ -165,7 +166,7 @@ def cmd_pi1(args) -> int:
             }
             for g in gens
         ],
-        "relations": [{"p": atom_json(r.p), "q": atom_json(r.q)} for r in rels],
+        "relations": rels,
     }
     _emit(args, report)
     return 0
@@ -229,11 +230,17 @@ def cmd_search_figure(args) -> int:
     return 0
 
 
-def _depth(text: str) -> int:
-    depth = int(text)
-    if depth < 0:
-        raise argparse.ArgumentTypeError(f"depth must be at least 0, got {text}")
-    return depth
+def _nonnegative(what: str):
+    """An argparse type for a count; a negative value exits 2 naming ``what``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} must be at least 0, got {text}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _add_input_args(parser):
@@ -269,14 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pi1", help="loop generators and atom-pair relations")
     _add_input_args(p)
     p.add_argument("--cap", type=int, default=DEFAULT_ATOM_CAP, help="atoms per chamber cap")
-    p.add_argument("--length-cap", type=int, default=None, help="skip relations above this atom length")
+    p.add_argument(
+        "--length-cap", type=_nonnegative("length cap"), default=None, help="skip relations above this atom length"
+    )
     p.set_defaults(func=cmd_pi1)
 
     p = sub.add_parser("check", help="evaluate the relations in a permutation representation")
     _add_input_args(p)
     p.add_argument("--rep", required=True, metavar="FILE", help="JSON edge id -> cycle notation")
-    p.add_argument("--length-cap", type=int, default=None)
-    p.add_argument("--depth", type=_depth, default=None, help="also re-prove relations by rewriting")
+    p.add_argument("--length-cap", type=_nonnegative("length cap"), default=None)
+    p.add_argument("--depth", type=_nonnegative("depth"), default=None, help="also re-prove relations by rewriting")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("plot", help="SVG of a rank-2 arrangement")

@@ -16,6 +16,7 @@ equalities up to a depth bound; it never claims a false equality.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -142,26 +143,43 @@ def generators(graph: ChamberGraph, max_atoms_per_chamber: int = DEFAULT_ATOM_CA
     return out
 
 
-def relations(graph: ChamberGraph, length_cap: int | None = None) -> list[Relation]:
-    """All unordered pairs of distinct atoms over ordered chamber pairs.
+def atom_groups(graph: ChamberGraph, length_cap: int | None = None) -> Iterator[list[PositivePath]]:
+    """The atoms of each ordered chamber pair that has at least two.
 
-    A pair enters when the common atom length, the number of hyperplanes
-    separating its ends, is within the cap.  The same unordered chamber
-    pair appears in both orientations.
+    Pairs come source-major, both in chamber id order, and each list is
+    lexicographic by edge ids, as ``atoms`` returns it.  A pair enters
+    when its atom length, the number of hyperplanes separating its ends,
+    is at least 2 and within the cap.  The same unordered chamber pair
+    appears in both orientations.  Each pair's atoms come together, so
+    a caller can render or fold each atom once instead of once per
+    relation; groups are found one source chamber at a time.
     """
-    out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryContactWarning)
-        for source in graph.chambers:
+    for source in graph.chambers:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryContactWarning)
+            row = []
             for target in graph.chambers:
                 length = len(separating_set(graph, source.id, target.id))
                 if length < 2 or (length_cap is not None and length > length_cap):
                     continue
                 found = atoms(graph, source.id, target.id)
-                for i in range(len(found)):
-                    for j in range(i + 1, len(found)):
-                        out.append(Relation(found[i], found[j]))
-    return out
+                if len(found) >= 2:
+                    row.append(found)
+        yield from row
+
+
+def relations(graph: ChamberGraph, length_cap: int | None = None) -> list[Relation]:
+    """All unordered pairs of distinct atoms over ordered chamber pairs.
+
+    The flattening of ``atom_groups``: the relations of one chamber pair
+    are consecutive, as ``(found[i], found[j])`` for ``i < j``.
+    """
+    return [
+        Relation(found[i], found[j])
+        for found in atom_groups(graph, length_cap)
+        for i in range(len(found))
+        for j in range(i + 1, len(found))
+    ]
 
 
 def crossing_homomorphism(graph: ChamberGraph, word: GroupoidWord) -> tuple[int, ...]:
@@ -183,29 +201,30 @@ class CheckReport:
         return not self.failures
 
 
-def _fold(assignment, path: PositivePath):
-    """Compose assigned elements along a path, later edges acting last."""
-    values = [assignment[eid] for eid in path.edges]
-    out = values[0]
-    for v in values[1:]:
-        out = v * out
-    return out
-
-
 def check_representation(graph: ChamberGraph, assignment, rels) -> CheckReport:
     """Evaluate each relation in a finite group of invertible elements.
 
     ``assignment`` maps every directed edge id to a group element (for
-    example a Perm); elements multiply with ``*``.  Returns the indices
-    of the relations whose two sides disagree.
+    example a Perm); elements need only ``*`` and ``!=``, not hashing.
+    An atom ``e_1 ... e_k`` folds to ``a[e_k] * fold(e_1 ... e_{k-1})``,
+    later edges acting last.  Every prefix of an atom is an atom, so
+    with folds memoised by edge tuple each distinct atom costs one
+    product, however many relations share it (all relations of one
+    chamber pair do).  Returns the indices of the relations whose two
+    sides disagree.
     """
     for edge in graph.edges:
         if edge.id not in assignment:
             raise MissingEdgeAssignment(f"edge {edge.id} has no assigned element")
-    failures = []
-    for index, rel in enumerate(rels):
-        if _fold(assignment, rel.p) != _fold(assignment, rel.q):
-            failures.append(index)
+    folded = {}
+
+    def fold(edges):
+        if edges not in folded:
+            last = assignment[edges[-1]]
+            folded[edges] = last * fold(edges[:-1]) if len(edges) > 1 else last
+        return folded[edges]
+
+    failures = [index for index, rel in enumerate(rels) if fold(rel.p.edges) != fold(rel.q.edges)]
     return CheckReport(len(rels), tuple(failures))
 
 

@@ -199,10 +199,15 @@ A3_POWERS = ["(0 1 2 3 4 5 6)", "(0 2 4 6 1 3 5)", "(0 3 6 2 5 1 4)",
              "(0 4 1 5 2 6 3)", "(0 5 3 1 6 4 2)", "(0 6 5 4 3 2 1)"]
 
 
-def _a3_rep(tmp_path):
-    rep = tmp_path / "rep.json"
+def _a3_rep(tmp_path, violating=False):
+    # violating: edge 0 acts as a transposition, which no power of the
+    # 7-cycle is, so some relations fail
+    rep = tmp_path / ("bad.json" if violating else "rep.json")
     edges = json.loads(run("chambers", "A3:J={}", check=True).stdout)["edges"]
-    rep.write_text(json.dumps({str(i): A3_POWERS[e["hyperplane"]] for i, e in enumerate(edges)}))
+    table = {str(i): A3_POWERS[e["hyperplane"]] for i, e in enumerate(edges)}
+    if violating:
+        table["0"] = "(0 1)"
+    rep.write_text(json.dumps(table))
     return str(rep)
 
 
@@ -211,6 +216,17 @@ def test_check_negative_depth(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "depth must be at least 0" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "pi1"])
+def test_negative_length_cap_rejected(tmp_path, command):
+    # a negative cap used to select no relations, so check passed any table
+    rep = ["--rep", _a3_rep(tmp_path, violating=True)] if command == "check" else []
+    proc = run(command, "A3:J={}", *rep, "--length-cap", "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "length cap must be at least 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_check_uncapped_depth_zero(tmp_path):
@@ -238,27 +254,51 @@ def test_check_uncapped_depth_one(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, digest",
+    "argv, digest, code",
     [
-        (["pi1", "A3:J={}"], "e249f48ab5f0fb13fb8a9d5ff94f93fef984e0a3ab071f59bc8c4c4d3e566be0"),
-        (["pi1", "A2:J={}", "--window", "3/2"], "a0ace301dd1bfbbb7abcf6667375a8058bb7d6763ed1476f8c57318d83dfee99"),
+        (["pi1", "A3:J={}"], "e249f48ab5f0fb13fb8a9d5ff94f93fef984e0a3ab071f59bc8c4c4d3e566be0", 0),
+        (["pi1", "A3:J={}", "--length-cap", "3"], "175949cce5e80db3afba0f8f7acae0a7db46f566caa08a1cececc7f567ef58d3", 0),
+        (["pi1", "A2:J={}", "--window", "3/2"], "a0ace301dd1bfbbb7abcf6667375a8058bb7d6763ed1476f8c57318d83dfee99", 0),
         # 95444 relations, 56 MB of JSON streamed in chunks
         (
             ["pi1", "D4:J={0,2}", "--window", "3/2"],
             "5ac4db81086e9feeaf9ebc8cdd995f232111fd2f4cde37adfa997b75dbc23f80",
+            0,
+        ),
+        (
+            ["pi1", "D4:J={0,2}", "--window", "3/2", "--length-cap", "4"],
+            "869ce3f25704d257bd4dee204b0fa5304d9b488ab10f2a30d2a690e7b4780f7b",
+            0,
         ),
         (
             ["check", "A3:J={}", "--rep", "{rep}", "--length-cap", "4", "--depth", "2"],
             "b610927107da9b9961eee3b6e8b8323a718660d4207f8d0e64f50bfae69c13b4",
+            0,
+        ),
+        # 508 of 4152 relations fail
+        (
+            ["check", "A3:J={}", "--rep", "{bad}"],
+            "b5fac2c04a5e88d491cd4efbe01ed1d192d58b48f43d113d8984cea94e838867",
+            1,
         ),
     ],
-    ids=["pi1 A3", "pi1 A2 window 3/2", "pi1 D4:J={0,2} window 3/2", "check A3 cap 4 depth 2"],
+    ids=[
+        "pi1 A3",
+        "pi1 A3 cap 3",
+        "pi1 A2 window 3/2",
+        "pi1 D4:J={0,2} window 3/2",
+        "pi1 D4:J={0,2} window 3/2 cap 4",
+        "check A3 cap 4 depth 2",
+        "check A3 violating",
+    ],
 )
-def test_groupoid_outputs_pinned(tmp_path, argv, digest):
-    # sha256 of the canonical JSON; a change in atom order, relations or
-    # prover verdicts shows up here
-    argv = [_a3_rep(tmp_path) if a == "{rep}" else a for a in argv]
-    proc = run(*argv, check=True)
+def test_groupoid_outputs_pinned(tmp_path, argv, digest, code):
+    # sha256 of the canonical JSON; a change in atom order, relations,
+    # failure indices or prover verdicts shows up here
+    reps = {"{rep}": lambda: _a3_rep(tmp_path), "{bad}": lambda: _a3_rep(tmp_path, violating=True)}
+    argv = [reps[a]() if a in reps else a for a in argv]
+    proc = run(*argv)
+    assert proc.returncode == code, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 

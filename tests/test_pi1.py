@@ -1,3 +1,4 @@
+import random
 import warnings
 from fractions import Fraction
 
@@ -13,16 +14,22 @@ from floparr import (
     NonComposable,
     Perm,
     PositivePath,
+    Relation,
+    atom_groups,
     atoms,
     base_chamber,
     check_representation,
     crossing_homomorphism,
+    enumerate_chambers,
     equal_in_groupoid,
     generators,
     loop_word,
     parse_perm,
+    path_target,
+    product_arrangement,
     relations,
     rewrite_rules,
+    separating_set,
     word_concat,
     word_end,
     word_from_json,
@@ -31,7 +38,7 @@ from floparr import (
     word_to_json,
 )
 
-from helpers import affine_graph, central_graph
+from helpers import affine_graph, central, central_graph
 
 
 def _s3_assignment(g):
@@ -199,6 +206,120 @@ def test_missing_edge_assignment():
     del assignment[3]
     with pytest.raises(MissingEdgeAssignment):
         check_representation(g, assignment, relations(g))
+
+
+def _parent_relations(graph, length_cap=None):
+    # relations() as one nested loop, before atoms were grouped by pair
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryContactWarning)
+        for source in graph.chambers:
+            for target in graph.chambers:
+                length = len(separating_set(graph, source.id, target.id))
+                if length < 2 or (length_cap is not None and length > length_cap):
+                    continue
+                found = atoms(graph, source.id, target.id)
+                for i in range(len(found)):
+                    for j in range(i + 1, len(found)):
+                        out.append(Relation(found[i], found[j]))
+    return out
+
+
+def _parent_fold(assignment, path):
+    # check_representation's fold before memoising: one relation side at
+    # a time, later edges acting last
+    values = [assignment[eid] for eid in path.edges]
+    out = values[0]
+    for v in values[1:]:
+        out = v * out
+    return out
+
+
+GROUPOID_GRAPHS = {
+    "A2": lambda: central_graph("A2:J={}"),
+    "A3": lambda: central_graph("A3:J={}"),
+    "D4:J={0,2}": lambda: central_graph("D4:J={0,2}"),
+    "A2xA1": lambda: enumerate_chambers(product_arrangement(central("A2:J={}"), central("A1:J={}"))),
+    "A2 window 3/2": lambda: affine_graph("A2:J={}", "3/2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOID_GRAPHS))
+def test_relations_match_nested_loop(name):
+    g = GROUPOID_GRAPHS[name]()
+    for cap in (None, 3):
+        rels = relations(g, length_cap=cap)
+        assert rels == _parent_relations(g, cap)
+        for found in atom_groups(g, cap):
+            assert len(found) >= 2
+            assert len({(p.source, path_target(g, p), len(p)) for p in found}) == 1
+
+
+def _tables(g, seed):
+    # seeded non-abelian tables: random images in S4, and a satisfying
+    # table (powers of a 5-cycle per hyperplane) with one edge swapped
+    # for a transposition
+    rng = random.Random(seed)
+    s4 = {e.id: Perm(tuple(rng.sample(range(4), 4))) for e in g.edges}
+    power = {h: rng.randrange(1, 5) for h in range(len(g.arrangement))}
+    satisfying = {e.id: Perm(tuple((x + power[e.hyperplane]) % 5 for x in range(5))) for e in g.edges}
+    violating = dict(satisfying)
+    violating[rng.choice(g.edges).id] = parse_perm("(0 1)")
+    return {"s4": s4, "satisfying": satisfying, "violating": violating}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOID_GRAPHS))
+def test_check_matches_per_relation_fold(name):
+    g = GROUPOID_GRAPHS[name]()
+    rels = relations(g)
+    assert rels
+    for seed in (1, 2):
+        tables = _tables(g, seed)
+        for kind, table in tables.items():
+            report = check_representation(g, table, rels)
+            expected = tuple(i for i, r in enumerate(rels) if _parent_fold(table, r.p) != _parent_fold(table, r.q))
+            assert (report.checked, report.failures) == (len(rels), expected), kind
+        assert check_representation(g, tables["satisfying"], rels).ok
+
+
+class _Unhashable:
+    # a group element with only * and !=, counting its products
+    products = 0
+
+    def __init__(self, perm):
+        self.perm = perm
+
+    __hash__ = None
+
+    def __mul__(self, other):
+        _Unhashable.products += 1
+        return _Unhashable(self.perm * other.perm)
+
+    def __ne__(self, other):
+        return self.perm != other.perm
+
+
+def test_check_folds_each_atom_once_without_hashing():
+    g = central_graph("A3:J={}")
+    rels = relations(g)
+    table = _tables(g, 3)["violating"]
+    wrapped = {eid: _Unhashable(perm) for eid, perm in table.items()}
+    _Unhashable.products = 0
+    report = check_representation(g, wrapped, rels)
+    assert report.failures == check_representation(g, table, rels).failures
+    # one product per distinct atom prefix of length at least 2
+    prefixes = {path.edges[:k] for r in rels for path in (r.p, r.q) for k in range(2, len(path) + 1)}
+    assert _Unhashable.products == len(prefixes) < sum(len(r.p) + len(r.q) - 2 for r in rels)
+
+
+def test_missing_edge_raised_before_any_fold():
+    g = central_graph("A3:J={}")
+    wrapped = {e.id: _Unhashable(Perm.identity(2)) for e in g.edges}
+    del wrapped[g.edges[-1].id]
+    _Unhashable.products = 0
+    with pytest.raises(MissingEdgeAssignment):
+        check_representation(g, wrapped, relations(g))
+    assert _Unhashable.products == 0
 
 
 def test_equal_out_and_back_is_identity():
