@@ -49,6 +49,7 @@ from .galleries import (
     MutationLabel,
     PositivePath,
     atoms,
+    atoms_from,
     compose,
     crossings,
     initial_label,

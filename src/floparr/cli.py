@@ -44,7 +44,7 @@ from .chambers import enumerate_chambers, graph_to_json
 from .dynkin import DynkinData, DynkinType, parse_data
 from .errors import FloparrError, ParseFailure
 from .galleries import DEFAULT_ATOM_CAP, BoundaryContactWarning, atoms, path_to_json, path_touches_boundary
-from .perms import parse_perm
+from .perms import parse_cycles, perm_of_cycles
 from .pi1 import (
     GroupoidEquality,
     atom_groups,
@@ -176,9 +176,15 @@ def cmd_check(args) -> int:
     graph = enumerate_chambers(_resolve_arrangement(args))
     try:
         table = json.loads(Path(args.rep).read_text())
-        assignment = {int(k): parse_perm(v) for k, v in table.items()}
+        cycles = {int(k): parse_cycles(v) for k, v in table.items()}
     except (OSError, ValueError, TypeError, AttributeError) as exc:
         raise ParseFailure(f"cannot load representation from {args.rep}: {exc}") from exc
+    # renumber the m named points 0..m-1 in order, so a table naming point
+    # 10**15 costs what one naming point 2 does; one bijection applied to
+    # every element keeps products and equality, hence every verdict
+    points = sorted({x for found in cycles.values() for cycle in found for x in cycle})
+    index = {x: i for i, x in enumerate(points)}
+    assignment = {k: perm_of_cycles([[index[x] for x in c] for c in found]) for k, found in cycles.items()}
     rels = relations(graph, length_cap=args.length_cap)
     report_obj = check_representation(graph, assignment, rels)
     report = {
@@ -270,12 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--from", dest="source", type=int, required=True, metavar="N")
     p.add_argument("--to", dest="target", type=int, required=True, metavar="N")
-    p.add_argument("--cap", type=int, default=DEFAULT_ATOM_CAP, help="atom count cap")
+    p.add_argument("--cap", type=_nonnegative("cap"), default=DEFAULT_ATOM_CAP, help="atom count cap")
     p.set_defaults(func=cmd_atoms)
 
     p = sub.add_parser("pi1", help="loop generators and atom-pair relations")
     _add_input_args(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_ATOM_CAP, help="atoms per chamber cap")
+    p.add_argument("--cap", type=_nonnegative("cap"), default=DEFAULT_ATOM_CAP, help="atoms per chamber cap")
     p.add_argument(
         "--length-cap", type=_nonnegative("length cap"), default=None, help="skip relations above this atom length"
     )

@@ -20,6 +20,7 @@ exactly.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -74,6 +75,7 @@ def cartan_matrix(delta: DynkinType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
+@functools.cache
 def positive_roots(delta: DynkinType) -> tuple[tuple[int, ...], ...]:
     """All positive roots, lexicographically sorted coefficient vectors.
 
@@ -81,7 +83,8 @@ def positive_roots(delta: DynkinType) -> tuple[tuple[int, ...], ...]:
     reflections s_i(b) = b - <b, a_i> a_i, keeping only vectors with
     nonnegative coordinates.  Every positive root arises this way:
     any positive root of height >= 2 admits some s_i that lowers its
-    height without leaving the positive cone.
+    height without leaving the positive cone.  Cached per type: the
+    result is an immutable tuple and ``DynkinType`` is frozen.
     """
     n = delta.rank
     cartan = cartan_matrix(delta)

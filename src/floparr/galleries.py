@@ -3,14 +3,13 @@
 A positive path crosses walls one at a time, never backwards.  The
 minimal-length positive paths between two chambers are the atoms; they
 cross exactly the hyperplanes separating the endpoints, once each
-(Deligne 1972).  So atoms are read off sign vectors: from the source,
-follow only edges whose hyperplane still has a different sign at the
-current chamber and at the target.  Each edge flips one sign, so every
-such walk that reaches the target is minimal, and every minimal walk is
-one of them.  None gets stuck, because the window (all of space for a
-central arrangement) is convex: a generic segment from any other
-chamber to the target stays inside it and leaves that chamber through
-a wall that separates the two.
+(Deligne 1972).  So one walk per source finds them all: it follows only
+edges whose hyperplane still has the source's sign, so it crosses no
+hyperplane twice, and every path it takes is an atom to where it ends.
+Aimed at a target, it crosses only separating hyperplanes and never
+gets stuck, because the window (all of space for a central arrangement)
+is convex: a generic segment from any other chamber to the target stays
+inside it and leaves through a wall separating the two.
 
 Mutation bookkeeping is purely formal.  A label lists one summand
 symbol per wall of its chamber in increasing hyperplane order; crossing
@@ -86,41 +85,59 @@ def path_touches_boundary(graph: ChamberGraph, path: PositivePath) -> bool:
     return False
 
 
+def atoms_from(
+    graph: ChamberGraph, source: int, length_cap: int | None = None, cap: int = DEFAULT_ATOM_CAP
+) -> dict[int, list[PositivePath]]:
+    """Every atom from source of length at most ``length_cap``, keyed by end chamber.
+
+    One depth-first walk crossing any hyperplane that still has the
+    source's sign, so each list is lexicographic by edge ids.  Raises
+    Overflow when more than ``cap`` atoms end at one chamber.
+    """
+    return _walk(graph, source, tuple(-s for s in graph.chamber(source).signs), length_cap, cap)
+
+
+def _walk(graph, source, goal, length_cap, cap):
+    # the walk of atoms_from, crossing only hyperplanes where the current
+    # signs differ from goal; an explicit stack, since atoms can be longer
+    # than Python's recursion limit
+    found = {}
+    stack = [(source, ())]
+    while stack:
+        at, trail = stack.pop()
+        paths = found.setdefault(at, [])
+        if len(paths) >= cap:
+            raise Overflow(f"more than {cap} atoms from {source} to {at}")
+        paths.append(PositivePath(source, trail))
+        if len(trail) != length_cap:
+            signs = graph.chambers[at].signs
+            # pushed last edge first, so the smallest edge id is walked first
+            for e in reversed(graph.out_edges(at)):
+                if signs[e.hyperplane] != goal[e.hyperplane]:
+                    stack.append((e.target, trail + (e.id,)))
+    return found
+
+
 def atoms(graph: ChamberGraph, source: int, target: int, cap: int = DEFAULT_ATOM_CAP) -> list[PositivePath]:
     """All minimal positive paths from source to target, lexicographic by edge ids.
 
-    Raises Unreachable when no positive path exists and Overflow when
-    more than ``cap`` atoms would be produced.  In windowed graphs a
-    BoundaryContactWarning is issued if any atom touches a
-    boundary-flagged chamber.
+    The walk of ``atoms_from`` aimed at the target, read there.  Raises
+    Unreachable when no positive path exists and Overflow when more than
+    ``cap`` atoms would be produced (no chamber between the two has more
+    atoms than the target).  In windowed graphs a BoundaryContactWarning
+    is issued if any atom touches a boundary-flagged chamber.
     """
     graph.chamber(source)
     goal = graph.chamber(target).signs
-    out = []
-    trail = []
-
-    def grow(at):
-        if at == target:
-            if len(out) >= cap:
-                raise Overflow(f"more than {cap} atoms from {source} to {target}")
-            out.append(PositivePath(source, tuple(trail)))
-            return
-        signs = graph.chambers[at].signs
-        for e in graph.out_edges(at):
-            if signs[e.hyperplane] != goal[e.hyperplane]:
-                trail.append(e.id)
-                grow(e.target)
-                trail.pop()
-
-    grow(source)
-    if not out:
+    try:
+        out = _walk(graph, source, goal, None, cap).get(target)
+    except Overflow:
+        raise Overflow(f"more than {cap} atoms from {source} to {target}") from None
+    if out is None:
         raise Unreachable(f"no positive path from {source} to {target}")
-    if graph.arrangement.is_affine and any(path_touches_boundary(graph, p) for p in out):
-        warnings.warn(
-            f"some atoms from {source} to {target} touch the window boundary",
-            BoundaryContactWarning,
-            stacklevel=2,
-        )
+    if any(path_touches_boundary(graph, p) for p in out):
+        message = f"some atoms from {source} to {target} touch the window boundary"
+        warnings.warn(message, BoundaryContactWarning, stacklevel=2)
     return out
 
 

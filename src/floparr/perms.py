@@ -82,8 +82,8 @@ class Perm:
         return "".join(parts) or "()"
 
 
-def parse_perm(text: str, degree: int | None = None) -> Perm:
-    """Parse disjoint cycle notation; symbols are nonnegative integers."""
+def parse_cycles(text: str) -> list[list[int]]:
+    """The cycles of disjoint cycle notation; symbols are nonnegative integers."""
     if not re.fullmatch(r"[\s\d,()]*", text) or text.count("(") != text.count(")"):
         raise ValueError(f"cannot parse permutation {text!r}")
     outside = _CYCLE_RE.sub("", text).strip()
@@ -97,7 +97,12 @@ def parse_perm(text: str, degree: int | None = None) -> Perm:
             raise ValueError(f"cycles are not disjoint in {text!r}")
         used.update(entries)
         cycles.append(entries)
-    n = max(used) + 1 if used else 0
+    return cycles
+
+
+def perm_of_cycles(cycles, degree: int | None = None) -> Perm:
+    """The permutation moving each cycle's points one step along it."""
+    n = max((max(cycle) + 1 for cycle in cycles if cycle), default=0)
     if degree is not None:
         n = max(n, degree)
     images = list(range(n))
@@ -105,3 +110,8 @@ def parse_perm(text: str, degree: int | None = None) -> Perm:
         for i, v in enumerate(cycle):
             images[v] = cycle[(i + 1) % len(cycle)]
     return Perm(tuple(images))
+
+
+def parse_perm(text: str, degree: int | None = None) -> Perm:
+    """Parse disjoint cycle notation; symbols are nonnegative integers."""
+    return perm_of_cycles(parse_cycles(text), degree)

@@ -21,19 +21,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .chambers import ChamberGraph, walls
-from .errors import (
-    BaseMismatch,
-    MissingEdgeAssignment,
-    NonComposable,
-)
+from .errors import BaseMismatch, MissingEdgeAssignment, NonComposable, Unreachable
 from .galleries import (
     DEFAULT_ATOM_CAP,
     BoundaryContactWarning,
     PositivePath,
-    atoms,
+    atoms_from,
     path_target,
     path_touches_boundary,
-    separating_set,
 )
 
 
@@ -116,56 +111,43 @@ def loop_word(graph: ChamberGraph, atom: PositivePath, wall: int) -> GroupoidWor
 def generators(graph: ChamberGraph, max_atoms_per_chamber: int = DEFAULT_ATOM_CAP) -> list[Pi1Generator]:
     """One loop per (atom from the base, wall of its endpoint), in order.
 
-    Chambers are visited by id, atoms lexicographically, walls in
-    increasing hyperplane index.  In windowed graphs atoms touching a
-    boundary chamber are skipped with a warning.  Duplicate group
-    elements are not detected or removed.
+    Atoms come from one ``atoms_from`` walk at the base, chambers by id,
+    atoms lexicographically, walls in increasing hyperplane index.  A
+    chamber the base cannot reach raises Unreachable.  In windowed graphs
+    atoms touching a boundary chamber are skipped with a warning.
+    Duplicate group elements are not detected or removed.
     """
     base = base_chamber(graph)
+    walk = atoms_from(graph, base, cap=max_atoms_per_chamber)
     out = []
     skipped = 0
     for chamber in graph.chambers:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundaryContactWarning)
-            chamber_atoms = atoms(graph, base, chamber.id, cap=max_atoms_per_chamber)
-        for atom in chamber_atoms:
-            if graph.arrangement.is_affine and path_touches_boundary(graph, atom):
+        if chamber.id not in walk:
+            raise Unreachable(f"no positive path from {base} to {chamber.id}")
+        for atom in walk[chamber.id]:
+            if path_touches_boundary(graph, atom):
                 skipped += 1
                 continue
             for wall in walls(graph, chamber.id):
                 out.append(Pi1Generator(atom, wall, loop_word(graph, atom, wall)))
     if skipped:
-        warnings.warn(
-            f"skipped {skipped} atoms touching the window boundary",
-            BoundaryContactWarning,
-            stacklevel=2,
-        )
+        message = f"skipped {skipped} atoms touching the window boundary"
+        warnings.warn(message, BoundaryContactWarning, stacklevel=2)
     return out
 
 
 def atom_groups(graph: ChamberGraph, length_cap: int | None = None) -> Iterator[list[PositivePath]]:
     """The atoms of each ordered chamber pair that has at least two.
 
-    Pairs come source-major, both in chamber id order, and each list is
-    lexicographic by edge ids, as ``atoms`` returns it.  A pair enters
-    when its atom length, the number of hyperplanes separating its ends,
-    is at least 2 and within the cap.  The same unordered chamber pair
-    appears in both orientations.  Each pair's atoms come together, so
-    a caller can render or fold each atom once instead of once per
-    relation; groups are found one source chamber at a time.
+    One ``atoms_from`` walk per source, in chamber id order, cut at
+    ``length_cap``; its lists of two or more atoms come in target id
+    order, each lexicographic by edge ids.  Each unordered pair appears
+    in both orientations; an unreachable pair is skipped.  Each pair's
+    atoms come together, so a caller can render or fold each atom once.
     """
     for source in graph.chambers:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundaryContactWarning)
-            row = []
-            for target in graph.chambers:
-                length = len(separating_set(graph, source.id, target.id))
-                if length < 2 or (length_cap is not None and length > length_cap):
-                    continue
-                found = atoms(graph, source.id, target.id)
-                if len(found) >= 2:
-                    row.append(found)
-        yield from row
+        walk = atoms_from(graph, source.id, length_cap)
+        yield from (walk[target] for target in sorted(walk) if len(walk[target]) >= 2)
 
 
 def relations(graph: ChamberGraph, length_cap: int | None = None) -> list[Relation]:

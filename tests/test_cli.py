@@ -229,6 +229,42 @@ def test_negative_length_cap_rejected(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv", [["pi1", "A2:J={}", "--cap", "-1"], ["atoms", "A2:J={}", "--from", "0", "--to", "5", "--cap", "-3"]]
+)
+def test_negative_cap_rejected(argv):
+    # a negative cap used to exit 4 with "more than -1 atoms from 0 to 0"
+    proc = run(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "cap must be at least 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_zero_cap_is_a_cap():
+    proc = run("pi1", "A2:J={}", "--cap", "0")
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+
+
+def test_check_renumbers_large_points(tmp_path):
+    # cycle notation used to allocate one slot per integer up to the
+    # largest point named; renumbering the named points keeps every verdict
+    edges = json.loads(run("chambers", "A2:J={}", check=True).stdout)["edges"]
+    reports = []
+    for a, b, c in ((0, 1, 2), (0, 10**12, 10**15)):
+        cycles = {0: f"({a} {b})", 1: f"({b} {c})", 2: f"({a} {c})"}
+        table = {str(i): cycles[e["hyperplane"]] for i, e in enumerate(edges)}
+        table["0"] = f"({a} {b} {c})"
+        rep = tmp_path / f"rep{c}.json"
+        rep.write_text(json.dumps(table))
+        proc = run("check", "A2:J={}", "--rep", str(rep), "--depth", "1", timeout=30)
+        reports.append((proc.returncode, proc.stdout, proc.stderr))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 1
+    assert json.loads(reports[0][1])["failures"] == [0, 2, 4]
+
+
 def test_check_uncapped_depth_zero(tmp_path):
     # all 4152 relations go through the prover; its rewrite rules are
     # built once per check, not once per relation

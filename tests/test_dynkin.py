@@ -99,6 +99,12 @@ def test_a2_root_literal():
     assert positive_roots(DynkinType("A", 1)) == ((1,),)
 
 
+def test_roots_computed_once_per_type():
+    # search-figure restricts the roots of one type for every contracted
+    # pair; equal types share one immutable tuple
+    assert positive_roots(DynkinType("E", 8)) is positive_roots(DynkinType("E", 8))
+
+
 @pytest.mark.parametrize("family,rank", [("B", 2), ("F", 4), ("A", 0), ("D", 3), ("E", 5), ("E", 9)])
 def test_invalid_types_rejected(family, rank):
     with pytest.raises(InvalidType):
