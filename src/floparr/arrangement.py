@@ -21,9 +21,12 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
 from .dynkin import DynkinData, positive_roots
-from .errors import MixedKinds
+from .errors import MixedKinds, Overflow
 
 Root = tuple[int, ...]
+
+# far above every arrangement the tests, demos and benchmark build (< 100)
+MAX_TRANSLATES = 10**5
 
 
 @dataclass(frozen=True)
@@ -97,31 +100,40 @@ def build_finite(data: DynkinData) -> Arrangement:
     return Arrangement(len(data.surviving), None, tuple(sorted(normals, key=lambda h: (h.normal, h.level))))
 
 
-def _window_levels(normal, radius: Fraction) -> list[int]:
-    """Integer levels whose translate meets the closed box in more than a point.
+def _window_top(normal, radius: Fraction) -> int:
+    """Largest level whose translate meets the closed box in more than a point.
 
     The maximum of ``normal . x`` over the closed box is
     radius * sum|normal_i|, attained on a face whose dimension is the
     number of zero entries of the normal; levels touching the box only
-    in a corner are dropped.
+    in a corner are dropped.  The levels -top..top are the translates.
     """
     span = radius * sum(abs(v) for v in normal)
     top = span.numerator // span.denominator
     if span == top and not any(v == 0 for v in normal):
         top -= 1
-    return list(range(-top, top + 1))
+    return top
 
 
 def build_affine(data: DynkinData, radius: Fraction) -> Arrangement:
-    """Integer translates of the finite arrangement meeting the window."""
+    """Integer translates of the finite arrangement meeting the window.
+
+    The translates are counted before any is built: Overflow when there
+    would be more than ``MAX_TRANSLATES``.
+    """
     radius = Fraction(radius)
     if radius <= 0:
         raise ValueError("window radius must be positive")
     finite = build_finite(data)
-    planes = []
-    for h in finite.hyperplanes:
-        for k in _window_levels(h.normal, radius):
-            planes.append(Hyperplane(h.normal, k))
+    tops = [_window_top(h.normal, radius) for h in finite.hyperplanes]
+    count = sum(2 * top + 1 for top in tops)
+    if count > MAX_TRANSLATES:
+        raise Overflow(f"the window holds {count} hyperplanes, more than {MAX_TRANSLATES}")
+    planes = [
+        Hyperplane(h.normal, k)
+        for h, top in zip(finite.hyperplanes, tops)
+        for k in range(-top, top + 1)
+    ]
     planes.sort(key=lambda h: (h.normal, h.level))
     return Arrangement(finite.dim, radius, tuple(planes))
 

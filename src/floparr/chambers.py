@@ -9,9 +9,12 @@ reproducible run to run and machine to machine.
 
 Walls are found by flipping one sign: h is a wall of C exactly when C
 with h's sign flipped is a chamber, so one witness solve per new sign
-vector finds the neighbour.  Vectors proven empty are remembered, and a
-flip that breaks the +...+-...- sign order along the translates of one
-normal is skipped unsolved.  The boundary flag substitutes each window
+vector finds the neighbour.  One memo maps each sign vector solved so
+far to its chamber id, or to None once it is proven empty.  A flip that
+breaks the +...+-...- sign order along the translates of one normal is
+empty, so it is skipped before the flipped vector is even built.  One
+builder, ``_rows``, writes every chamber system: each hyperplane on its
+side, then the window box.  The boundary flag substitutes each window
 face ``x_i = +-p/q`` (for radius p/q) into the closed chamber's weak
 system, scaled by q so the rows stay integral.
 
@@ -99,29 +102,23 @@ class ChamberGraph:
         return self._by_signs.get(tuple(signs))
 
 
-def _sign_constraints(arr, signs, strict=True):
+def _rows(arr, signs, strict=True):
+    """Each hyperplane on its side of the chamber, then the window box if any."""
     # hyperplanes are primitive integer rows already
-    return [
+    rows = [
         (tuple(s * v for v in plane.normal), s * plane.level, strict)
         for plane, s in zip(arr.hyperplanes, signs)
     ]
-
-
-def _window(arr, strict=True):
-    if arr.radius is None:
-        return []
-    return box_constraints(arr.dim, arr.radius, strict)
-
-
-def _witness(arr, signs):
-    return feasible_point(arr.dim, _sign_constraints(arr, signs) + _window(arr))
+    if arr.radius is not None:
+        rows += box_constraints(arr.dim, arr.radius, strict)
+    return rows
 
 
 def _touches_boundary(arr, signs) -> bool:
     """Does the closure of the chamber meet the window boundary?"""
     if arr.radius is None:
         return False
-    weak = _sign_constraints(arr, signs, strict=False) + _window(arr, strict=False)
+    weak = _rows(arr, signs, strict=False)
     p, q = arr.radius.numerator, arr.radius.denominator
     for i in range(arr.dim):
         for side in (p, -p):
@@ -185,31 +182,27 @@ def enumerate_chambers(arr: Arrangement) -> ChamberGraph:
     planes = arr.hyperplanes
     seed = seed_chamber(arr)
     chambers = [seed]
+    # sign vector -> chamber id, or None once the vector is proven empty
     index = {seed.signs: 0}
-    empty = set()
     edges = []
-    head = 0
-    while head < len(chambers):
-        current = chambers[head]
-        head += 1
+    for current in chambers:
         signs = current.signs
         for h in range(len(planes)):
             # The other signs and the open window cut out a convex open
             # region; it meets h exactly when both sides of h are
             # nonempty, so h is a wall exactly when the flip is a chamber.
+            if _breaks_class_order(planes, signs, h):
+                continue
             flipped = signs[:h] + (-signs[h],) + signs[h + 1 :]
-            nid = index.get(flipped)
-            if nid is None:
-                if flipped in empty or _breaks_class_order(planes, signs, h):
-                    continue
-                witness = _witness(arr, flipped)
+            if flipped not in index:
+                witness = feasible_point(arr.dim, _rows(arr, flipped))
                 if witness is None:
-                    empty.add(flipped)
-                    continue
-                nid = len(chambers)
-                chambers.append(Chamber(nid, flipped, witness, _touches_boundary(arr, flipped)))
-                index[flipped] = nid
-            edges.append(Edge(len(edges), current.id, nid, h))
+                    index[flipped] = None
+                else:
+                    index[flipped] = len(chambers)
+                    chambers.append(Chamber(len(chambers), flipped, witness, _touches_boundary(arr, flipped)))
+            if index[flipped] is not None:
+                edges.append(Edge(len(edges), current.id, index[flipped], h))
     return ChamberGraph(arr, chambers, edges)
 
 

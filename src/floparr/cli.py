@@ -30,6 +30,7 @@ import os
 import sys
 import warnings
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from .arrangement import (
@@ -153,7 +154,7 @@ def cmd_pi1(args) -> int:
     rels = []
     for group in atom_groups(graph, args.length_cap):
         rendered = [Rendered(path_to_json(path)) for path in group]
-        rels += ({"p": p, "q": q} for i, p in enumerate(rendered) for q in rendered[i + 1 :])
+        rels += ({"p": p, "q": q} for p, q in combinations(rendered, 2))
     report = {
         "generator_count": len(gens),
         "relation_count": len(rels),

@@ -19,6 +19,7 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 from .chambers import ChamberGraph, walls
 from .errors import BaseMismatch, MissingEdgeAssignment, NonComposable, Unreachable
@@ -156,12 +157,7 @@ def relations(graph: ChamberGraph, length_cap: int | None = None) -> list[Relati
     The flattening of ``atom_groups``: the relations of one chamber pair
     are consecutive, as ``(found[i], found[j])`` for ``i < j``.
     """
-    return [
-        Relation(found[i], found[j])
-        for found in atom_groups(graph, length_cap)
-        for i in range(len(found))
-        for j in range(i + 1, len(found))
-    ]
+    return [Relation(p, q) for found in atom_groups(graph, length_cap) for p, q in combinations(found, 2)]
 
 
 def crossing_homomorphism(graph: ChamberGraph, word: GroupoidWord) -> tuple[int, ...]:

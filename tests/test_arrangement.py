@@ -5,6 +5,7 @@ import pytest
 from floparr import (
     Hyperplane,
     MixedKinds,
+    Overflow,
     arrangement_from_json,
     arrangement_to_json,
     build_affine,
@@ -12,7 +13,7 @@ from floparr import (
     parse_data,
     product_arrangement,
 )
-from floparr.arrangement import restrict_roots
+from floparr.arrangement import MAX_TRANSLATES, restrict_roots
 
 from helpers import affine, central
 
@@ -111,6 +112,17 @@ def test_affine_rejects_nonpositive_radius():
         build_affine(data, Fraction(0))
     with pytest.raises(ValueError):
         build_affine(data, Fraction(-1))
+
+
+def test_affine_translate_cap():
+    # A1 in the window |x| < r has the 2r - 1 translates -(r - 1) .. r - 1
+    data = parse_data("A1:J={}")
+    r = (MAX_TRANSLATES + 1) // 2
+    assert len(build_affine(data, r)) == 2 * r - 1 <= MAX_TRANSLATES
+    with pytest.raises(Overflow, match=f"holds {2 * r + 1} hyperplanes"):
+        build_affine(data, r + 1)
+    with pytest.raises(Overflow):
+        build_affine(data, Fraction(10) ** 400)
 
 
 def test_product_central():

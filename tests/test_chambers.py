@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import floparr.chambers
 from floparr import (
+    Arrangement,
+    Hyperplane,
     UnknownChamber,
     arrangement_from_json,
     build_affine,
@@ -293,3 +296,47 @@ def test_graph_json_pinned(arr, digest):
     # ids, signs, edges, boundary flags and witnesses, byte for byte
     text = dumps(graph_to_json(enumerate_chambers(arr())))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _parallel_line(n):
+    # n translates x = -(n // 2) .. n - n // 2 - 1 of one point in a dim-1 window
+    low = -(n // 2)
+    return Arrangement(1, Fraction(n // 2 + 1), tuple(Hyperplane((1,), k) for k in range(low, low + n)))
+
+
+@pytest.mark.parametrize(
+    "arr, witness, boundary",
+    [
+        (lambda: central("D4:J={}"), 1343, 0),
+        (_a5_height_two, 431, 0),
+        (lambda: affine("A2:J={}", Fraction(7, 2)), 247, 417),
+        (lambda: affine("A3:J={}", 1), 397, 72),
+        (lambda: affine("D4:J={0,2}", Fraction(3, 2)), 201, 157),
+        (lambda: _parallel_line(300), 300, 601),
+    ],
+    ids=["D4", "A5 height<=2", "A2 r=7/2", "A3 r=1", "D4:J={0,2} r=3/2", "300 parallel"],
+)
+def test_enumeration_solve_counts_pinned(monkeypatch, arr, witness, boundary):
+    # feasibility solves are the enumeration's machine-independent cost:
+    # full-dimension witness solves, and dim - 1 window-face solves for
+    # boundary flags; the parallel line solves no empty vector at all
+    arr = arr()
+    calls = {arr.dim: 0, arr.dim - 1: 0}
+
+    def counted(dim, ineqs):
+        calls[dim] += 1
+        return feasible_point(dim, ineqs)
+
+    monkeypatch.setattr(floparr.chambers, "feasible_point", counted)
+    enumerate_chambers(arr)
+    assert calls == {arr.dim: witness, arr.dim - 1: boundary}
+
+
+def test_long_parallel_family():
+    g = enumerate_chambers(_parallel_line(300))
+    assert len(g.chambers) == 301
+    assert len(g.edges) == 600
+    ends = {g.id_of_signs((1,) * 300), g.id_of_signs((-1,) * 300)}
+    assert None not in ends
+    assert {c.id for c in g.chambers if c.boundary} == ends
+    check_graph_invariants(g)

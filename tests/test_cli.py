@@ -448,6 +448,16 @@ def test_exit_code_overflow():
     assert proc.returncode == 4
 
 
+@pytest.mark.parametrize("radius", ["1e400", "1e9"])
+def test_exit_code_oversize_window(radius):
+    # the translates are counted before any is built, so this is quick
+    proc = run("chambers", "A2:J={}", "--window", radius, timeout=30)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "more than 100000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_code_unknown_chamber():
     proc = run("atoms", "A2:J={}", "--from", "0", "--to", "77")
     assert proc.returncode == 5
@@ -461,3 +471,23 @@ def test_errors_print_to_stderr():
     proc = run("build", "Q9:J={}")
     assert proc.stdout == ""
     assert proc.stderr.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "D4:J={0,2}", "--window", "3/2"),
+        ("chambers", "A2:J={}", "--window", "7/2"),
+        ("pi1", "A3:J={}"),
+        ("search-figure", "--lines", "6"),
+    ],
+    ids=" ".join,
+)
+def test_output_independent_of_hash_seed(argv):
+    outs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(CLI + list(argv), capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
