@@ -20,7 +20,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
-from .dynkin import DynkinData, positive_roots
+from .dynkin import MAX_RANK, DynkinData, positive_roots
 from .errors import MixedKinds, Overflow
 
 Root = tuple[int, ...]
@@ -166,6 +166,8 @@ def arrangement_from_json(obj: dict) -> Arrangement:
     dim = obj["dim"]
     if not _is_int(dim) or dim < 1:
         raise ValueError("dim must be a positive integer")
+    if dim > MAX_RANK:
+        raise Overflow(f"dim {dim} is above the cap {MAX_RANK}")
     kind = obj["kind"]
     if kind == "central":
         radius = None

@@ -104,7 +104,6 @@ class ChamberGraph:
 
 def _rows(arr, signs, strict=True):
     """Each hyperplane on its side of the chamber, then the window box if any."""
-    # hyperplanes are primitive integer rows already
     rows = [
         (tuple(s * v for v in plane.normal), s * plane.level, strict)
         for plane, s in zip(arr.hyperplanes, signs)

@@ -18,7 +18,7 @@ this is how arrangements from arbitrary user matrices enter.
 
 Exit codes: 0 success, 1 failed checks or any other error, 2 parse
 failure, conflicting arguments or an unreadable/unwritable file, 3
-empty surviving set, 4 enumeration overflow, 5 unknown chamber id, 6
+empty surviving set, 4 a size cap exceeded, 5 unknown chamber id, 6
 plot of a non rank-2 arrangement.
 """
 

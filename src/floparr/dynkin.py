@@ -24,9 +24,13 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .errors import EmptySurvivingSet, InvalidType
+from .errors import EmptySurvivingSet, InvalidType, Overflow
 
 FAMILIES = ("A", "D", "E")
+
+# Largest rank, and largest arrangement dimension, accepted anywhere: the
+# root closure costs about rank**4 and a witness about dim**2 digits.
+MAX_RANK = 64
 
 _RANK_MIN = {"A": 1, "D": 4, "E": 6}
 _RANK_MAX = {"A": None, "D": None, "E": 8}
@@ -48,6 +52,8 @@ class DynkinType:
         hi = _RANK_MAX[self.family]
         if self.rank < lo or (hi is not None and self.rank > hi):
             raise InvalidType(f"{self.family}{self.rank} is not a valid type")
+        if self.rank > MAX_RANK:
+            raise Overflow(f"rank {self.rank} of {self.family}{self.rank} is above the cap {MAX_RANK}")
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -143,6 +149,10 @@ def parse_data(text: str) -> DynkinData:
     m = _DATA_RE.match(text)
     if m is None:
         raise InvalidType(f"cannot parse Dynkin data from {text!r}")
-    family, rank, inner = m.group(1), int(m.group(2)), m.group(3)
-    contracted = frozenset(int(p) for p in inner.split(",")) if inner else frozenset()
+    family, inner = m.group(1), m.group(3)
+    try:
+        rank = int(m.group(2))
+        contracted = frozenset(int(p) for p in inner.split(",")) if inner else frozenset()
+    except ValueError:  # int() refuses strings of more than 4300 digits
+        raise InvalidType(f"a number in {text[:40]!r}... has too many digits") from None
     return DynkinData(DynkinType(family, rank), contracted)

@@ -48,7 +48,7 @@ class Unreachable(FloparrError):
 
 
 class Overflow(FloparrError):
-    """An enumeration exceeded its configured cap."""
+    """An enumeration, a window, a rank or a dimension exceeded its cap."""
 
     exit_code = 4
 

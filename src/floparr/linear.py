@@ -11,15 +11,18 @@ inequalities only: triples ``(a, b, strict)`` meaning ``a . x > b`` when
 strict and ``a . x >= b`` otherwise.  A caller that needs a flat
 substitutes it away first.  ``rref`` serves the intersection poset.
 
-Each input row is scaled once by a positive rational to a primitive
-integer row; rows that are already integral never touch Fraction.
-Fourier-Motzkin elimination then removes the last variable first, in
-integers: a lower row l and an upper row u combine to
-``(-u_k) * l + l_k * u``, divided by its gcd.  Before each step a
-dominance filter keeps one row per direction of ``a`` (rows are compared
-after dividing by the gcd of ``a``): the one with the largest right-hand
-side, and the strict one on a tie.  A dropped row is implied by the row
-kept, so the filter never changes the feasible set.
+Rows come in as integers, ``a`` and ``b`` at any positive scale, and
+go to the elimination as given.  Fourier-Motzkin elimination removes
+the last variable first, in integers: a lower row l and an upper row u
+combine to ``(-u_k) * l + l_k * u``, divided by its gcd.  Before each
+step a dominance filter keeps one row per direction of ``a`` (rows are
+compared after dividing by the gcd of ``a``): the one with the largest
+right-hand side, and the strict one on a tie.  A dropped row is implied
+by the row kept, so the filter never changes the feasible set.  Nor
+does the scale of a row: the filter keys on ``a / gcd(a)`` and compares
+``b / gcd(a)``, every combination is divided by its own gcd, and
+back-substitution divides by ``a_k``, so a row times c > 0 is pruned,
+combined and substituted exactly as the row itself.
 
 The witness is rebuilt by back-substitution, the only place Fraction
 arithmetic runs.  It is canonical: given the coordinates already fixed,
@@ -34,7 +37,7 @@ Scaling rows or dropping dominated ones cannot move it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 Ineq = tuple[tuple[int, ...], int, bool]
 
@@ -70,19 +73,6 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows[:r], pivots
 
 
-def _row(a, b, strict):
-    """Scale ``a . x (>|>=) b`` by a positive rational to a primitive integer row."""
-    ints = [*a, b]
-    if not all(type(v) is int for v in ints):
-        values = [Fraction(v) for v in ints]
-        denom = lcm(*(v.denominator for v in values))
-        ints = [v.numerator * (denom // v.denominator) for v in values]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints[:-1]), ints[-1], strict
-
-
 def _prune(rows):
     """Keep the strongest row per direction; None on a constant contradiction."""
     best = {}
@@ -106,7 +96,7 @@ def _prune(rows):
 
 
 def _fm(dim, rows):
-    """Fourier-Motzkin core on primitive integer rows: witness tuple or None."""
+    """Fourier-Motzkin core on integer rows: witness tuple or None."""
     rows = _prune(rows)
     if rows is None:
         return None
@@ -129,7 +119,6 @@ def _fm(dim, rows):
             uk = -ua[k]
             ints = [uk * lv + lk * uv for lv, uv in zip(lhead, ua)]
             ints.append(uk * lb + lk * ub)
-            # inlined rather than shared with _row: this is the hot loop
             g = gcd(*ints)
             if g > 1:
                 ints = [v // g for v in ints]
@@ -153,14 +142,15 @@ def _fm(dim, rows):
 def feasible_point(dim: int, ineqs) -> tuple[Fraction, ...] | None:
     """Exact witness for a mixed strict/weak system, or None if empty.
 
-    The returned point satisfies every constraint exactly.
+    Each row ``(a, b, strict)`` has integer ``a`` and ``b`` at any
+    positive scale, not necessarily primitive; scaling a row cannot move
+    the witness.  The returned point satisfies every constraint exactly.
     """
-    return _fm(dim, [_row(a, b, strict) for a, b, strict in ineqs])
+    return _fm(dim, ineqs)
 
 
 def box_constraints(dim: int, radius: Fraction, strict: bool = True) -> list[Ineq]:
     """Integer rows ``+-q x_i > -p`` of the box (-p/q, p/q)^dim (or its closure)."""
-    radius = Fraction(radius)
     p, q = radius.numerator, radius.denominator
     out = []
     for i in range(dim):

@@ -214,15 +214,11 @@ def _cancellations(letters):
 
 
 def _swaps(letters, rules):
-    """Each one-rule rewrite, ordered by rule index and then by position."""
-    hits = []
+    """Each one-rule rewrite, by position and then by rule."""
     for i, letter in enumerate(letters):
-        for index, old, new in rules.get(letter, ()):
+        for old, new in rules.get(letter, ()):
             if letters[i : i + len(old)] == old:
-                hits.append((index, i, len(old), new))
-    hits.sort()
-    for _, i, width, new in hits:
-        yield letters[:i] + new + letters[i + width :]
+                yield letters[:i] + new + letters[i + len(old) :]
 
 
 def rewrite_rules(rels) -> dict:
@@ -230,12 +226,11 @@ def rewrite_rules(rels) -> dict:
     and both inverted.  Build them once and pass them to every
     ``equal_in_groupoid`` call over the same relations.
 
-    They are grouped by first letter, as ``letter -> [(index, old,
-    new), ...]``, so a word is matched only against rules that start
-    with one of its letters; ``index`` keeps the order of the full list.
+    They are grouped by first letter, as ``letter -> [(old, new), ...]``,
+    so a word is matched only against rules that start with one of its
+    letters.
     """
     rules = {}
-    index = 0
     for rel in rels:
         p = tuple((eid, 1) for eid in rel.p.edges)
         q = tuple((eid, 1) for eid in rel.q.edges)
@@ -243,8 +238,7 @@ def rewrite_rules(rels) -> dict:
         qinv = tuple((eid, -1) for eid in reversed(rel.q.edges))
         for old, new in ((p, q), (q, p), (pinv, qinv), (qinv, pinv)):
             if old:
-                rules.setdefault(old[0], []).append((index, old, new))
-            index += 1
+                rules.setdefault(old[0], []).append((old, new))
     return rules
 
 
@@ -261,7 +255,10 @@ def equal_in_groupoid(
     replacement of one relation side by the other (either orientation,
     or both inverted), with ``rules`` from ``rewrite_rules``; empty
     ``rules`` (``{}`` or ``[]``) leave free cancellation only.  Each side
-    is expanded up to ``depth`` rewrites.
+    is expanded up to ``depth`` rewrites.  The order of the rules cannot
+    change the verdict: while one side expands, the other side's seen
+    set is fixed, so whether some rewrite hits it, and the sets each
+    level adds, do not depend on the order rewrites are tried in.
     """
     rules = rules or {}
     if first.base != second.base:

@@ -7,6 +7,7 @@ networkx shortest-path enumeration for atoms.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import networkx as nx
 
@@ -18,6 +19,17 @@ from floparr import (
     walls,
 )
 from floparr.linear import dot
+
+
+def integral(ineqs):
+    """Rational rows ``(a, b, strict)`` times the lcm of each row's denominators."""
+    out = []
+    for a, b, strict in ineqs:
+        values = [Fraction(v) for v in (*a, b)]
+        scale = lcm(*(v.denominator for v in values))
+        ints = [int(v * scale) for v in values]
+        out.append((tuple(ints[:-1]), ints[-1], strict))
+    return out
 
 
 def central(text):

@@ -14,6 +14,7 @@ from floparr import (
     product_arrangement,
 )
 from floparr.arrangement import MAX_TRANSLATES, restrict_roots
+from floparr.dynkin import MAX_RANK
 
 from helpers import affine, central
 
@@ -206,6 +207,12 @@ def _affine_doc(radius, normal=(1,), level=0):
 def test_json_rejects_non_exact_values(doc):
     with pytest.raises(ValueError):
         arrangement_from_json(doc)
+
+
+def test_json_dim_capped():
+    assert arrangement_from_json({"dim": MAX_RANK, "kind": "central", "hyperplanes": []}).dim == MAX_RANK
+    with pytest.raises(Overflow, match=f"dim {MAX_RANK + 1} "):
+        arrangement_from_json({"dim": MAX_RANK + 1, "kind": "central", "hyperplanes": []})
 
 
 def test_json_radius_string_or_int():

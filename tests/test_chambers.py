@@ -28,6 +28,7 @@ from helpers import (
     central,
     central_graph,
     check_graph_invariants,
+    integral,
     sector_count,
 )
 
@@ -217,7 +218,7 @@ def _wall_reference(arr, signs, h):
         f = a[k] / lead
         coeffs = tuple(a[j] - f * plane.normal[j] for j in range(arr.dim) if j != k)
         reduced.append((coeffs, b - f * plane.level, strict))
-    return feasible_point(arr.dim - 1, reduced) is not None
+    return feasible_point(arr.dim - 1, integral(reduced)) is not None
 
 
 def _boundary_reference(arr, signs):
@@ -228,7 +229,7 @@ def _boundary_reference(arr, signs):
     for i in range(arr.dim):
         for side in (1, -1):
             face = tuple(side if j == i else 0 for j in range(arr.dim))
-            if feasible_point(arr.dim, weak + [(face, arr.radius, False)]) is not None:
+            if feasible_point(arr.dim, integral(weak + [(face, arr.radius, False)])) is not None:
                 return True
     return False
 
@@ -319,12 +320,14 @@ def _parallel_line(n):
 def test_enumeration_solve_counts_pinned(monkeypatch, arr, witness, boundary):
     # feasibility solves are the enumeration's machine-independent cost:
     # full-dimension witness solves, and dim - 1 window-face solves for
-    # boundary flags; the parallel line solves no empty vector at all
+    # boundary flags; the parallel line solves no empty vector at all.
+    # Every row sent is integral, as the kernel requires.
     arr = arr()
     calls = {arr.dim: 0, arr.dim - 1: 0}
 
     def counted(dim, ineqs):
         calls[dim] += 1
+        assert all(type(v) is int for a, b, _ in ineqs for v in (*a, b))
         return feasible_point(dim, ineqs)
 
     monkeypatch.setattr(floparr.chambers, "feasible_point", counted)

@@ -458,6 +458,38 @@ def test_exit_code_oversize_window(radius):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["build", "A100000:J={}"], None),
+        (["search-figure", "--lines", "3", "--max-rank", "100000"], None),
+        (["chambers"], {"dim": 10**6, "kind": "central", "hyperplanes": []}),
+    ],
+    ids=["rank", "max-rank", "dim"],
+)
+def test_exit_code_oversize_rank_or_dim(tmp_path, argv, doc):
+    # rank and dimension are capped before any root or witness is built
+    if doc is not None:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--in", str(path)]
+    proc = run(*argv, timeout=30)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "above the cap 64" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_numbers_too_long_for_int_are_parse_failures():
+    digits = "9" * 5000
+    for data in (f"A{digits}:J={{}}", f"A3:J={{{digits}}}"):
+        proc = run("build", data, timeout=30)
+        # Pythons without the int() digit limit read the rank and cap it
+        assert proc.returncode in (2, 4)
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
+
 def test_exit_code_unknown_chamber():
     proc = run("atoms", "A2:J={}", "--from", "0", "--to", "77")
     assert proc.returncode == 5

@@ -5,11 +5,12 @@ from floparr import (
     DynkinType,
     EmptySurvivingSet,
     InvalidType,
+    Overflow,
     cartan_matrix,
     parse_data,
     positive_roots,
 )
-from floparr.dynkin import diagram_edges
+from floparr.dynkin import MAX_RANK, diagram_edges
 
 from helpers import coxeter_count, interval_roots
 
@@ -109,6 +110,13 @@ def test_roots_computed_once_per_type():
 def test_invalid_types_rejected(family, rank):
     with pytest.raises(InvalidType):
         DynkinType(family, rank)
+
+
+def test_rank_capped():
+    assert DynkinType("A", MAX_RANK).rank == MAX_RANK
+    for family in ("A", "D"):
+        with pytest.raises(Overflow, match=f"rank {MAX_RANK + 1} "):
+            DynkinType(family, MAX_RANK + 1)
 
 
 def test_data_round_trip():

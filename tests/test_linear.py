@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from floparr.linear import _prune, _row, box_constraints, dot, feasible_point, rref
+from floparr.linear import _prune, box_constraints, dot, feasible_point, rref
+
+from helpers import integral
 
 
 def _satisfies(point, ineqs):
@@ -31,17 +33,17 @@ def test_rref_dependent_rows_collapse():
 
 
 def test_feasible_strict_sector():
-    point = feasible_point(2, [((1, 0), Fraction(0), True), ((0, 1), Fraction(0), True)])
+    point = feasible_point(2, [((1, 0), 0, True), ((0, 1), 0, True)])
     assert point is not None
     assert point[0] > 0 and point[1] > 0
 
 
 def test_feasible_empty_strict():
-    assert feasible_point(1, [((1,), Fraction(0), True), ((-1,), Fraction(0), True)]) is None
+    assert feasible_point(1, [((1,), 0, True), ((-1,), 0, True)]) is None
 
 
 def test_feasible_weak_degenerate():
-    point = feasible_point(1, [((1,), Fraction(0), False), ((-1,), Fraction(0), False)])
+    point = feasible_point(1, [((1,), 0, False), ((-1,), 0, False)])
     assert point == (0,)
 
 
@@ -53,8 +55,8 @@ def test_box_constraints():
 
 
 def test_feasible_thin_strip():
-    # 0 < x < 1/1000
-    ineqs = [((1,), Fraction(0), True), ((-1,), Fraction(-1, 1000), True)]
+    # 0 < x < 1/1000, the upper bound written as -1000 x > -1
+    ineqs = [((1,), 0, True), ((-1000,), -1, True)]
     point = feasible_point(1, ineqs)
     assert point is not None and _satisfies(point, ineqs)
 
@@ -74,7 +76,7 @@ def test_random_feasible_systems():
             # strict constraints need positive slack so the center stays interior
             slack = Fraction(rng.randrange(1, 4) if strict else rng.randrange(0, 3))
             ineqs.append((coeffs, dot(coeffs, center) - slack, strict))
-        point = feasible_point(dim, ineqs)
+        point = feasible_point(dim, integral(ineqs))
         assert point is not None
         assert _satisfies(point, ineqs)
 
@@ -95,7 +97,7 @@ def test_random_infeasible_pairs():
         extra = tuple(rng.randrange(-2, 3) for _ in range(dim))
         if any(extra):
             ineqs.append((extra, Fraction(-10), False))
-        assert feasible_point(dim, ineqs) is None
+        assert feasible_point(dim, integral(ineqs)) is None
 
 
 def test_witness_is_exact():
@@ -203,11 +205,18 @@ def _random_system(rng, dim):
 
 def test_integer_kernel_matches_rational_reference():
     rng = random.Random(20261018)
+    # a second stream for the row scales keeps the systems those of rng alone
+    scales = random.Random(6)
     verdicts = {True: 0, False: 0}
     for _ in range(400):
         dim = rng.randrange(1, 6)
         ineqs = _random_system(rng, dim)
-        point = feasible_point(dim, ineqs)
+        # the kernel takes integer rows at any positive scale
+        scaled = []
+        for a, b, strict in integral(ineqs):
+            c = scales.randrange(1, 7)
+            scaled.append((tuple(c * v for v in a), c * b, strict))
+        point = feasible_point(dim, scaled)
         assert point == _reference_point(dim, ineqs), ineqs
         if point is not None:
             assert _satisfies(point, ineqs)
@@ -232,9 +241,3 @@ def test_tie_rules():
     assert feasible_point(1, [((1,), 0, False), ((-1,), 0, False)]) == (0,)
     assert feasible_point(1, [((1,), 0, True), ((-1,), 0, False)]) is None
 
-
-def test_rows_are_primitive_integers():
-    assert _row((2, 4), 6, True) == ((1, 2), 3, True)
-    assert _row((Fraction(1, 2), 1), Fraction(3, 4), False) == ((2, 4), 3, False)
-    assert _row((0, 0), Fraction(-5, 3), True) == ((0, 0), -1, True)
-    assert _row((0,), 0, False) == ((0,), 0, False)

@@ -1,6 +1,7 @@
 import random
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -353,9 +354,21 @@ def test_unequal_words_stay_unknown():
     assert equal_in_groupoid(g, rewrite_rules(relations(g)), a, b, depth=3) is GroupoidEquality.UNKNOWN
 
 
+def _flat_rules(rels):
+    # every relation in both directions and both inverted, one flat list
+    out = []
+    for rel in rels:
+        p = tuple((eid, 1) for eid in rel.p.edges)
+        q = tuple((eid, 1) for eid in rel.q.edges)
+        pinv = tuple((eid, -1) for eid in reversed(rel.p.edges))
+        qinv = tuple((eid, -1) for eid in reversed(rel.q.edges))
+        out += [(old, new) for old, new in ((p, q), (q, p), (pinv, qinv), (qinv, pinv)) if old]
+    return out
+
+
 def _full_scan_swaps(letters, flat_rules):
     # the prover's rule scan before rules were indexed: every rule at
-    # every position, in rule order and then position order
+    # every position
     for old, new in flat_rules:
         for i in range(len(letters) - len(old) + 1):
             if letters[i : i + len(old)] == old:
@@ -370,9 +383,8 @@ def test_indexed_swaps_match_full_scan():
     g = affine_graph("A2:J={}", "3/2")
     rels = relations(g)
     rules = rewrite_rules(rels)
-    flat = sorted((index, old, new) for group in rules.values() for index, old, new in group)
-    assert [index for index, _, _ in flat] == list(range(4 * len(rels)))
-    flat = [(old, new) for _, old, new in flat]
+    flat = _flat_rules(rels)
+    assert sorted(rule for group in rules.values() for rule in group) == sorted(flat)
     rng = random.Random(5)
     words = [tuple((eid, 1) for eid in rel.p.edges) for rel in rels[:10]]
     letters = sorted({letter for old, _ in flat for letter in old})
@@ -380,7 +392,31 @@ def test_indexed_swaps_match_full_scan():
     # splice rule sides together so that one word holds several matches
     words += [rng.choice(flat)[0] + rng.choice(flat)[1] + rng.choice(flat)[0] for _ in range(25)]
     for word in words:
-        assert list(_swaps(word, rules)) == list(_full_scan_swaps(word, flat))
+        # the order rewrites come out in is no contract, only the multiset
+        assert sorted(_swaps(word, rules)) == sorted(_full_scan_swaps(word, flat))
+
+
+def test_verdicts_independent_of_rule_order():
+    g = central_graph("A3:J={}")
+    rules = rewrite_rules(relations(g))
+    shuffled = {letter: list(group) for letter, group in rules.items()}
+    rng = random.Random(11)
+    for group in shuffled.values():
+        rng.shuffle(group)
+    assert shuffled != rules
+    far = g.id_of_signs(tuple(-s for s in g.chambers[0].signs))
+    words = [word_of_path(p) for p in atoms(g, 0, far)[:6]]
+    # a loop in front changes the crossing vector, so those pairs stay unknown
+    loop = loop_word(g, PositivePath(0, ()), g.out_edges(0)[0].hyperplane)
+    looped = [word_concat(g, loop, w) for w in words]
+    pairs = list(combinations(words, 2)) + list(zip(words, looped)) + list(combinations(looped, 2))
+    seen = {verdict: 0 for verdict in GroupoidEquality}
+    for depth in range(3):
+        for first, second in pairs:
+            verdict = equal_in_groupoid(g, rules, first, second, depth)
+            assert equal_in_groupoid(g, shuffled, first, second, depth) is verdict
+            seen[verdict] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_equal_requires_same_base():
