@@ -3,8 +3,11 @@
 Run with: python3 demos/loops_and_check.py
 """
 
+from itertools import combinations
+
 from floparr import (
     GroupoidEquality,
+    atom_groups,
     atoms,
     build_finite,
     check_representation,
@@ -14,14 +17,16 @@ from floparr import (
     generators,
     parse_data,
     parse_perm,
-    relations,
     rewrite_rules,
     word_of_path,
 )
 
 g = enumerate_chambers(build_finite(parse_data("A2:J={}")))
 gens = generators(g)
-rels = relations(g)
+# atoms with common endpoints, one group per chamber pair; each pair of
+# atoms in a group is one relation
+groups = list(atom_groups(g))
+rels = [pair for group in groups for pair in combinations(group, 2)]
 
 print(f"The A2 chamber graph yields {len(gens)} loop generators and"
       f" {len(rels)} relations.")
@@ -39,18 +44,18 @@ print("Wall crossings map to transpositions of three letters; the relation"
       " table must hold:")
 cycles = {0: "(0 1)", 1: "(1 2)", 2: "(0 2)"}
 table = {e.id: parse_perm(cycles[e.hyperplane]).extend(3) for e in g.edges}
-report = check_representation(g, table, rels)
+report = check_representation(g, table, groups)
 print(f"  {report.checked} relations checked, ok={report.ok}")
 
 table[0] = parse_perm("(0 1 2)")
-broken = check_representation(g, table, rels)
+broken = check_representation(g, table, groups)
 print(f"  corrupting one edge: ok={broken.ok}, failing relations {list(broken.failures)}")
 
 print()
 print("Bounded rewriting proves the two opposite-chamber galleries equal:")
 far = g.id_of_signs((-1, -1, -1))
 first, second = atoms(g, 0, far)
-rules = rewrite_rules(rels)
+rules = rewrite_rules(groups)
 verdict = equal_in_groupoid(g, rules, word_of_path(first), word_of_path(second), depth=1)
 print(f"  {first.edges} vs {second.edges}: {verdict.name}")
 assert verdict is GroupoidEquality.PROVEN_EQUAL

@@ -68,7 +68,6 @@ from .pi1 import (
     GroupoidEquality,
     GroupoidWord,
     Pi1Generator,
-    Relation,
     atom_groups,
     base_chamber,
     check_representation,
@@ -76,7 +75,6 @@ from .pi1 import (
     equal_in_groupoid,
     generators,
     loop_word,
-    relations,
     rewrite_rules,
     word_concat,
     word_end,

@@ -53,6 +53,10 @@ class Arrangement:
     radius: Fraction | None
     hyperplanes: tuple[Hyperplane, ...]
 
+    def __post_init__(self):
+        if self.dim > MAX_RANK:
+            raise Overflow(f"dim {self.dim} is above the cap {MAX_RANK}")
+
     @property
     def is_affine(self) -> bool:
         return self.radius is not None
@@ -166,8 +170,6 @@ def arrangement_from_json(obj: dict) -> Arrangement:
     dim = obj["dim"]
     if not _is_int(dim) or dim < 1:
         raise ValueError("dim must be a positive integer")
-    if dim > MAX_RANK:
-        raise Overflow(f"dim {dim} is above the cap {MAX_RANK}")
     kind = obj["kind"]
     if kind == "central":
         radius = None

@@ -32,12 +32,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .arrangement import Arrangement
-from .errors import UnknownChamber
+from .errors import Overflow, UnknownChamber
 from .linear import ONE, box_constraints, dot, feasible_point, rref
 
 _PROBE_LIMIT = 10000
+# Buck's bound on the chambers of H hyperplanes in R^dim is the sum of
+# C(H, i) for i <= dim; enumeration refuses one above this (E6:J={}: 2,391,496)
+MAX_CHAMBERS = 10**7
 
 
 def _primes(limit):
@@ -179,6 +183,9 @@ def seed_chamber(arr: Arrangement) -> Chamber:
 def enumerate_chambers(arr: Arrangement) -> ChamberGraph:
     """Breadth-first enumeration of all chambers with exact certificates."""
     planes = arr.hyperplanes
+    bound = sum(comb(len(planes), i) for i in range(arr.dim + 1))
+    if bound > MAX_CHAMBERS:
+        raise Overflow(f"up to {bound} chambers by Buck's bound, more than {MAX_CHAMBERS}")
     seed = seed_chamber(arr)
     chambers = [seed]
     # sign vector -> chamber id, or None once the vector is proven empty

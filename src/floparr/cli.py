@@ -53,7 +53,6 @@ from .pi1 import (
     crossing_homomorphism,
     equal_in_groupoid,
     generators,
-    relations,
     rewrite_rules,
     word_of_path,
     word_to_json,
@@ -186,21 +185,23 @@ def cmd_check(args) -> int:
     points = sorted({x for found in cycles.values() for cycle in found for x in cycle})
     index = {x: i for i, x in enumerate(points)}
     assignment = {k: perm_of_cycles([[index[x] for x in c] for c in found]) for k, found in cycles.items()}
-    rels = relations(graph, length_cap=args.length_cap)
-    report_obj = check_representation(graph, assignment, rels)
+    groups = atom_groups(graph, args.length_cap)
+    if args.depth is not None:  # the prover needs every rule before the first relation
+        groups = list(groups)
+    report_obj = check_representation(graph, assignment, groups)
     report = {
         "relations": report_obj.checked,
         "failures": list(report_obj.failures),
         "ok": report_obj.ok,
     }
     if args.depth is not None:
-        rules = rewrite_rules(rels)
-        proven = []
-        for rel in rels:
-            verdict = equal_in_groupoid(
-                graph, rules, word_of_path(rel.p), word_of_path(rel.q), args.depth
-            )
-            proven.append(verdict is GroupoidEquality.PROVEN_EQUAL)
+        rules = rewrite_rules(groups)
+        proven = [
+            equal_in_groupoid(graph, rules, word_of_path(p), word_of_path(q), args.depth)
+            is GroupoidEquality.PROVEN_EQUAL
+            for group in groups
+            for p, q in combinations(group, 2)
+        ]
         report["rewrite_depth"] = args.depth
         report["rewrite_proven"] = proven
     _emit(args, report)

@@ -48,14 +48,6 @@ class Pi1Generator:
     loop: GroupoidWord
 
 
-@dataclass(frozen=True)
-class Relation:
-    """Two atoms with equal endpoints and equal length."""
-
-    p: PositivePath
-    q: PositivePath
-
-
 class GroupoidEquality(Enum):
     PROVEN_EQUAL = "proven-equal"
     UNKNOWN = "unknown"
@@ -143,21 +135,13 @@ def atom_groups(graph: ChamberGraph, length_cap: int | None = None) -> Iterator[
     One ``atoms_from`` walk per source, in chamber id order, cut at
     ``length_cap``; its lists of two or more atoms come in target id
     order, each lexicographic by edge ids.  Each unordered pair appears
-    in both orientations; an unreachable pair is skipped.  Each pair's
-    atoms come together, so a caller can render or fold each atom once.
+    in both orientations; an unreachable pair is skipped.  The relations
+    are the pairs ``combinations(group, 2)``, group by group, numbered
+    from 0 in that order; a caller can render or fold each atom once.
     """
     for source in graph.chambers:
         walk = atoms_from(graph, source.id, length_cap)
         yield from (walk[target] for target in sorted(walk) if len(walk[target]) >= 2)
-
-
-def relations(graph: ChamberGraph, length_cap: int | None = None) -> list[Relation]:
-    """All unordered pairs of distinct atoms over ordered chamber pairs.
-
-    The flattening of ``atom_groups``: the relations of one chamber pair
-    are consecutive, as ``(found[i], found[j])`` for ``i < j``.
-    """
-    return [Relation(p, q) for found in atom_groups(graph, length_cap) for p, q in combinations(found, 2)]
 
 
 def crossing_homomorphism(graph: ChamberGraph, word: GroupoidWord) -> tuple[int, ...]:
@@ -179,17 +163,18 @@ class CheckReport:
         return not self.failures
 
 
-def check_representation(graph: ChamberGraph, assignment, rels) -> CheckReport:
-    """Evaluate each relation in a finite group of invertible elements.
+def check_representation(graph: ChamberGraph, assignment, groups) -> CheckReport:
+    """Evaluate the relations of ``atom_groups`` in a finite group.
 
-    ``assignment`` maps every directed edge id to a group element (for
-    example a Perm); elements need only ``*`` and ``!=``, not hashing.
-    An atom ``e_1 ... e_k`` folds to ``a[e_k] * fold(e_1 ... e_{k-1})``,
-    later edges acting last.  Every prefix of an atom is an atom, so
-    with folds memoised by edge tuple each distinct atom costs one
-    product, however many relations share it (all relations of one
-    chamber pair do).  Returns the indices of the relations whose two
-    sides disagree.
+    ``groups`` is read once, and its pairs ``combinations(group, 2)``
+    are the relations, in order.  ``assignment`` maps every directed
+    edge id to a group element (for example a Perm); elements need only
+    ``*`` and ``!=``, not hashing.  An atom ``e_1 ... e_k`` folds to
+    ``a[e_k] * fold(e_1 ... e_{k-1})``, later edges acting last.  Every
+    prefix of an atom is an atom, so with folds memoised by edge tuple
+    each distinct atom costs one product.  An atom's first edge leaves
+    its source, so the memo is cleared when the source changes.
+    Returns the indices of the relations whose two sides disagree.
     """
     for edge in graph.edges:
         if edge.id not in assignment:
@@ -202,8 +187,16 @@ def check_representation(graph: ChamberGraph, assignment, rels) -> CheckReport:
             folded[edges] = last * fold(edges[:-1]) if len(edges) > 1 else last
         return folded[edges]
 
-    failures = [index for index, rel in enumerate(rels) if fold(rel.p.edges) != fold(rel.q.edges)]
-    return CheckReport(len(rels), tuple(failures))
+    checked, failures, source = 0, [], None
+    for group in groups:
+        if group[0].source != source:
+            source = group[0].source
+            folded.clear()
+        for p, q in combinations([fold(path.edges) for path in group], 2):
+            if p != q:
+                failures.append(checked)
+            checked += 1
+    return CheckReport(checked, tuple(failures))
 
 
 def _cancellations(letters):
@@ -214,31 +207,29 @@ def _cancellations(letters):
 
 
 def _swaps(letters, rules):
-    """Each one-rule rewrite, by position and then by rule."""
+    """Each one-rule rewrite, by position, then by rule, then by replacement."""
     for i, letter in enumerate(letters):
-        for old, new in rules.get(letter, ()):
+        for old, side in rules.get(letter, ()):
             if letters[i : i + len(old)] == old:
-                yield letters[:i] + new + letters[i + len(old) :]
+                yield from (letters[:i] + new + letters[i + len(old) :] for new in side if new != old)
 
 
-def rewrite_rules(rels) -> dict:
-    """The prover's rewrite patterns: each relation in both directions,
-    and both inverted.  Build them once and pass them to every
-    ``equal_in_groupoid`` call over the same relations.
+def rewrite_rules(groups) -> dict:
+    """The prover's rewrite patterns: the relations ``combinations(group,
+    2)`` of ``atom_groups``, each in both directions, and both inverted.
+    Build them once and pass them to every ``equal_in_groupoid`` call.
 
-    They are grouped by first letter, as ``letter -> [(old, new), ...]``,
-    so a word is matched only against rules that start with one of its
-    letters.
+    Each atom and each inverse is stored once under its first letter, as
+    ``letter -> [(old, side), ...]`` with ``side`` the words of old's
+    group, inverted with it; ``_swaps`` puts each other one in its place.
     """
     rules = {}
-    for rel in rels:
-        p = tuple((eid, 1) for eid in rel.p.edges)
-        q = tuple((eid, 1) for eid in rel.q.edges)
-        pinv = tuple((eid, -1) for eid in reversed(rel.p.edges))
-        qinv = tuple((eid, -1) for eid in reversed(rel.q.edges))
-        for old, new in ((p, q), (q, p), (pinv, qinv), (qinv, pinv)):
-            if old:
-                rules.setdefault(old[0], []).append((old, new))
+    for group in groups:
+        words = [tuple((eid, 1) for eid in path.edges) for path in group]
+        inverses = [tuple((eid, -1) for eid in reversed(path.edges)) for path in group]
+        for side in (words, inverses):
+            for old in side:
+                rules.setdefault(old[0], []).append((old, side))
     return rules
 
 

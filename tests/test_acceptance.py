@@ -18,6 +18,7 @@ from floparr import (
     DynkinType,
     GroupoidEquality,
     GroupoidWord,
+    atom_groups,
     atoms,
     check_representation,
     crossing_homomorphism,
@@ -31,7 +32,6 @@ from floparr import (
     positive_roots,
     product_arrangement,
     region_count_zaslavsky,
-    relations,
     rewrite_rules,
     separating_set,
     word_of_path,
@@ -149,12 +149,12 @@ def test_06_symmetric_group_check():
     g = central_graph("A2:J={}")
     cycles = {0: "(0 1)", 1: "(1 2)", 2: "(0 2)"}
     good = {e.id: parse_perm(cycles[e.hyperplane]).extend(3) for e in g.edges}
-    rels = relations(g)
-    passed = check_representation(g, good, rels)
+    groups = list(atom_groups(g))
+    passed = check_representation(g, good, groups)
     bad = dict(good)
     bad[0] = parse_perm("(0 1 2)")
-    failed_a = check_representation(g, bad, rels)
-    failed_b = check_representation(g, bad, rels)
+    failed_a = check_representation(g, bad, groups)
+    failed_b = check_representation(g, bad, groups)
     ok = (
         passed.ok and passed.checked == 6
         and not failed_a.ok and failed_a.failures == (0, 2, 4)
@@ -218,7 +218,7 @@ def test_09_cli_outputs():
 
 def test_10_groupoid_equality():
     g = central_graph("A2:J={}")
-    rules = rewrite_rules(relations(g))
+    rules = rewrite_rules(atom_groups(g))
 
     e = g.out_edges(0)[0]
     back = g.edge_across(e.target, e.hyperplane)

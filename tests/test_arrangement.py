@@ -213,6 +213,9 @@ def test_json_dim_capped():
     assert arrangement_from_json({"dim": MAX_RANK, "kind": "central", "hyperplanes": []}).dim == MAX_RANK
     with pytest.raises(Overflow, match=f"dim {MAX_RANK + 1} "):
         arrangement_from_json({"dim": MAX_RANK + 1, "kind": "central", "hyperplanes": []})
+    # the cap sits on Arrangement, so a product cannot build what loading refuses
+    with pytest.raises(Overflow, match="dim 70 "):
+        product_arrangement(central("A40:J={}"), central("A30:J={}"))
 
 
 def test_json_radius_string_or_int():

@@ -277,8 +277,9 @@ def test_check_uncapped_depth_zero(tmp_path):
 
 def test_check_uncapped_depth_one(tmp_path):
     # all 4152 relations through the prover at depth 1, where it matches
-    # each word against 16608 rewrite rules; 48 s before rules were indexed
-    # by first letter, so the timeout catches a return to the full scan
+    # each word against the 2688 stored atoms and inverses of 336 groups;
+    # 48 s before rules were indexed by first letter, so the timeout
+    # catches a return to the full scan
     proc = run("check", "A3:J={}", "--rep", _a3_rep(tmp_path), "--depth", "1", timeout=60)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
@@ -448,13 +449,22 @@ def test_exit_code_overflow():
     assert proc.returncode == 4
 
 
-@pytest.mark.parametrize("radius", ["1e400", "1e9"])
-def test_exit_code_oversize_window(radius):
-    # the translates are counted before any is built, so this is quick
+@pytest.mark.parametrize(
+    "radius, message",
+    [
+        ("1e400", "more than 100000"),
+        ("1e9", "more than 100000"),
+        # 80,001 lines build at once; Buck's bound stops the enumeration
+        ("1e4", "up to 3200120002 chambers by Buck's bound, more than 10000000"),
+    ],
+    ids=["1e400", "1e9", "1e4"],
+)
+def test_exit_code_oversize_window(radius, message):
+    # the translates and the chambers are counted before any is built, so this is quick
     proc = run("chambers", "A2:J={}", "--window", radius, timeout=30)
     assert proc.returncode == 4
     assert proc.stdout == ""
-    assert "more than 100000" in proc.stderr
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -4,12 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floparr.arrangement import Rendered, dumps
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 # quotes, backslashes, control characters, non-ASCII and astral characters
 # next to plain ones, so that every escaping rule of json.dumps is hit

@@ -15,7 +15,6 @@ from floparr import (
     NonComposable,
     Perm,
     PositivePath,
-    Relation,
     atom_groups,
     atoms,
     base_chamber,
@@ -28,7 +27,6 @@ from floparr import (
     parse_perm,
     path_target,
     product_arrangement,
-    relations,
     rewrite_rules,
     separating_set,
     word_concat,
@@ -47,6 +45,11 @@ def _s3_assignment(g):
     # of S3 acting on three letters
     perms = {0: parse_perm("(0 1)"), 1: parse_perm("(1 2)"), 2: parse_perm("(0 2)")}
     return {e.id: perms[e.hyperplane].extend(3) for e in g.edges}
+
+
+def _pairs(g, length_cap=None):
+    # the relations: each pair of atoms of each group, in order
+    return [(p, q) for group in atom_groups(g, length_cap) for p, q in combinations(group, 2)]
 
 
 def test_base_chamber_is_all_positive():
@@ -108,22 +111,22 @@ def test_loop_word_shape():
 
 def test_a2_relation_count():
     g = central_graph("A2:J={}")
-    rels = relations(g)
+    rels = _pairs(g)
     assert len(rels) == 6
-    for r in rels:
-        assert r.p.source == r.q.source
-        assert len(r.p.edges) == len(r.q.edges)
+    for p, q in rels:
+        assert p.source == q.source
+        assert len(p.edges) == len(q.edges)
 
 
 def test_relation_length_cap():
     g = central_graph("A2:J={}")
-    assert relations(g, length_cap=2) == []
-    assert len(relations(g, length_cap=3)) == 6
+    assert _pairs(g, length_cap=2) == []
+    assert len(_pairs(g, length_cap=3)) == 6
 
 
 def test_affine_line_has_no_relations():
     g = affine_graph("A1:J={}", Fraction(5, 2))
-    assert relations(g) == []
+    assert _pairs(g) == []
 
 
 def test_generators_skip_boundary_atoms():
@@ -166,7 +169,7 @@ def test_loops_cross_twice_affine():
 
 def test_symmetric_group_representation_passes():
     g = central_graph("A2:J={}")
-    report = check_representation(g, _s3_assignment(g), relations(g))
+    report = check_representation(g, _s3_assignment(g), atom_groups(g))
     assert isinstance(report, CheckReport)
     assert report.ok
     assert report.checked == 6
@@ -177,10 +180,11 @@ def test_corrupted_representation_fails():
     g = central_graph("A2:J={}")
     assignment = _s3_assignment(g)
     assignment[0] = parse_perm("(0 1 2)")
-    report = check_representation(g, assignment, relations(g))
+    groups = list(atom_groups(g))
+    report = check_representation(g, assignment, groups)
     assert not report.ok
     assert report.failures == (0, 2, 4)
-    again = check_representation(g, assignment, relations(g))
+    again = check_representation(g, assignment, groups)
     assert again.failures == report.failures
 
 
@@ -190,7 +194,7 @@ def test_check_ignores_permutation_degree():
     g = central_graph("A2:J={}")
     assignment = {e.id: Perm.identity(2) for e in g.edges}
     assignment[0] = Perm.identity(3)
-    assert check_representation(g, assignment, relations(g)).failures == ()
+    assert check_representation(g, assignment, atom_groups(g)).failures == ()
 
 
 def test_perm_equality_ignores_trailing_fixed_points():
@@ -206,11 +210,11 @@ def test_missing_edge_assignment():
     assignment = _s3_assignment(g)
     del assignment[3]
     with pytest.raises(MissingEdgeAssignment):
-        check_representation(g, assignment, relations(g))
+        check_representation(g, assignment, atom_groups(g))
 
 
 def _parent_relations(graph, length_cap=None):
-    # relations() as one nested loop, before atoms were grouped by pair
+    # the relations as one nested loop, before atoms were grouped by pair
     out = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryContactWarning)
@@ -222,7 +226,7 @@ def _parent_relations(graph, length_cap=None):
                 found = atoms(graph, source.id, target.id)
                 for i in range(len(found)):
                     for j in range(i + 1, len(found)):
-                        out.append(Relation(found[i], found[j]))
+                        out.append((found[i], found[j]))
     return out
 
 
@@ -249,8 +253,7 @@ GROUPOID_GRAPHS = {
 def test_relations_match_nested_loop(name):
     g = GROUPOID_GRAPHS[name]()
     for cap in (None, 3):
-        rels = relations(g, length_cap=cap)
-        assert rels == _parent_relations(g, cap)
+        assert _pairs(g, length_cap=cap) == _parent_relations(g, cap)
         for found in atom_groups(g, cap):
             assert len(found) >= 2
             assert len({(p.source, path_target(g, p), len(p)) for p in found}) == 1
@@ -272,15 +275,25 @@ def _tables(g, seed):
 @pytest.mark.parametrize("name", sorted(GROUPOID_GRAPHS))
 def test_check_matches_per_relation_fold(name):
     g = GROUPOID_GRAPHS[name]()
-    rels = relations(g)
+    groups = list(atom_groups(g))
+    rels = _pairs(g)
     assert rels
     for seed in (1, 2):
         tables = _tables(g, seed)
         for kind, table in tables.items():
-            report = check_representation(g, table, rels)
-            expected = tuple(i for i, r in enumerate(rels) if _parent_fold(table, r.p) != _parent_fold(table, r.q))
+            report = check_representation(g, table, groups)
+            expected = tuple(i for i, (p, q) in enumerate(rels) if _parent_fold(table, p) != _parent_fold(table, q))
             assert (report.checked, report.failures) == (len(rels), expected), kind
-        assert check_representation(g, tables["satisfying"], rels).ok
+        assert check_representation(g, tables["satisfying"], groups).ok
+
+
+def test_check_reads_groups_once():
+    # a one-shot generator gives the report of the listed groups
+    g = central_graph("A3:J={}")
+    for table in _tables(g, 4).values():
+        report = check_representation(g, table, atom_groups(g))
+        assert report == check_representation(g, table, list(atom_groups(g)))
+        assert report.checked == len(_pairs(g))
 
 
 class _Unhashable:
@@ -302,15 +315,16 @@ class _Unhashable:
 
 def test_check_folds_each_atom_once_without_hashing():
     g = central_graph("A3:J={}")
-    rels = relations(g)
+    groups = list(atom_groups(g))
+    rels = _pairs(g)
     table = _tables(g, 3)["violating"]
     wrapped = {eid: _Unhashable(perm) for eid, perm in table.items()}
     _Unhashable.products = 0
-    report = check_representation(g, wrapped, rels)
-    assert report.failures == check_representation(g, table, rels).failures
+    report = check_representation(g, wrapped, groups)
+    assert report.failures == check_representation(g, table, groups).failures
     # one product per distinct atom prefix of length at least 2
-    prefixes = {path.edges[:k] for r in rels for path in (r.p, r.q) for k in range(2, len(path) + 1)}
-    assert _Unhashable.products == len(prefixes) < sum(len(r.p) + len(r.q) - 2 for r in rels)
+    prefixes = {path.edges[:k] for r in rels for path in r for k in range(2, len(path) + 1)}
+    assert _Unhashable.products == len(prefixes) < sum(len(p) + len(q) - 2 for p, q in rels)
 
 
 def test_missing_edge_raised_before_any_fold():
@@ -319,7 +333,7 @@ def test_missing_edge_raised_before_any_fold():
     del wrapped[g.edges[-1].id]
     _Unhashable.products = 0
     with pytest.raises(MissingEdgeAssignment):
-        check_representation(g, wrapped, relations(g))
+        check_representation(g, wrapped, atom_groups(g))
     assert _Unhashable.products == 0
 
 
@@ -336,7 +350,7 @@ def test_equal_antipodal_atoms():
     g = central_graph("A2:J={}")
     far = g.id_of_signs((-1, -1, -1))
     pair = atoms(g, 0, far)
-    rules = rewrite_rules(relations(g))
+    rules = rewrite_rules(atom_groups(g))
     first = word_of_path(pair[0])
     second = word_of_path(pair[1])
     assert equal_in_groupoid(g, rules, first, second, depth=1) is GroupoidEquality.PROVEN_EQUAL
@@ -351,17 +365,17 @@ def test_unequal_words_stay_unknown():
     # same endpoints, different net crossings
     assert word_end(g, a) == word_end(g, b)
     assert crossing_homomorphism(g, a) != crossing_homomorphism(g, b)
-    assert equal_in_groupoid(g, rewrite_rules(relations(g)), a, b, depth=3) is GroupoidEquality.UNKNOWN
+    assert equal_in_groupoid(g, rewrite_rules(atom_groups(g)), a, b, depth=3) is GroupoidEquality.UNKNOWN
 
 
 def _flat_rules(rels):
     # every relation in both directions and both inverted, one flat list
     out = []
-    for rel in rels:
-        p = tuple((eid, 1) for eid in rel.p.edges)
-        q = tuple((eid, 1) for eid in rel.q.edges)
-        pinv = tuple((eid, -1) for eid in reversed(rel.p.edges))
-        qinv = tuple((eid, -1) for eid in reversed(rel.q.edges))
+    for p_path, q_path in rels:
+        p = tuple((eid, 1) for eid in p_path.edges)
+        q = tuple((eid, 1) for eid in q_path.edges)
+        pinv = tuple((eid, -1) for eid in reversed(p_path.edges))
+        qinv = tuple((eid, -1) for eid in reversed(q_path.edges))
         out += [(old, new) for old, new in ((p, q), (q, p), (pinv, qinv), (qinv, pinv)) if old]
     return out
 
@@ -381,12 +395,14 @@ def test_indexed_swaps_match_full_scan():
     from floparr.pi1 import _swaps
 
     g = affine_graph("A2:J={}", "3/2")
-    rels = relations(g)
-    rules = rewrite_rules(rels)
+    rels = _pairs(g)
+    rules = rewrite_rules(atom_groups(g))
     flat = _flat_rules(rels)
-    assert sorted(rule for group in rules.values() for rule in group) == sorted(flat)
+    # each stored (old, side) stands for old -> new for every other new in side
+    expanded = [(old, new) for group in rules.values() for old, side in group for new in side if new != old]
+    assert sorted(expanded) == sorted(flat)
     rng = random.Random(5)
-    words = [tuple((eid, 1) for eid in rel.p.edges) for rel in rels[:10]]
+    words = [tuple((eid, 1) for eid in p.edges) for p, _ in rels[:10]]
     letters = sorted({letter for old, _ in flat for letter in old})
     words += [tuple(rng.choice(letters) for _ in range(rng.randrange(9))) for _ in range(25)]
     # splice rule sides together so that one word holds several matches
@@ -398,7 +414,7 @@ def test_indexed_swaps_match_full_scan():
 
 def test_verdicts_independent_of_rule_order():
     g = central_graph("A3:J={}")
-    rules = rewrite_rules(relations(g))
+    rules = rewrite_rules(atom_groups(g))
     shuffled = {letter: list(group) for letter, group in rules.items()}
     rng = random.Random(11)
     for group in shuffled.values():

@@ -13,6 +13,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from floparr import (
     Arrangement,
@@ -38,9 +40,6 @@ from floparr.chambers import Chamber, ChamberGraph, Edge
 
 from helpers import central_graph
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 
 def reference_atoms(graph, source, target):
