@@ -226,6 +226,23 @@ class Rendered:
         return self.text
 
 
+class TextList:
+    """A JSON list whose items arrive as text pieces while ``dumps`` emits it.
+
+    ``items(nl)`` yields one tuple of strings per item: the item's text,
+    for an item that starts on a line indented as ``nl``, in pieces that
+    ``dumps`` buffers as they are.  Entries that share rendered parts
+    (each ``pi1`` relation pairs two atoms of a group) are spliced from
+    those parts, and no value is built per entry.  Each ``dumps`` calls
+    ``items`` anew.
+    """
+
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = items
+
+
 _FLUSH = 1 << 14  # buffered pieces per write while streaming
 
 
@@ -279,6 +296,17 @@ def _encode(value, nl, buf, write):
         buf.append("false")
     elif isinstance(value, int):
         buf.append(int.__repr__(value))
+    elif isinstance(value, TextList):
+        inner = nl + "  "
+        sep = "[" + inner
+        for pieces in value.items(inner):
+            buf.append(sep)
+            buf.extend(pieces)
+            sep = "," + inner
+            if len(buf) > _FLUSH:
+                write("".join(buf))
+                buf.clear()
+        buf.append("[]" if sep[0] == "[" else nl + "]")
     else:
         raise TypeError(f"cannot emit {type(value).__name__} as JSON")
 
@@ -286,11 +314,11 @@ def _encode(value, nl, buf, write):
 def dumps(obj, write=None):
     """The one JSON emitter: the bytes of ``json.dumps(obj, indent=2) + "\n"``.
 
-    It takes dicts with str keys, lists, str, int, bool, None and
-    ``Rendered`` text, and raises TypeError on anything else.  Without
-    ``write`` it returns the text.  With it, the text goes to ``write``
-    in chunks of bounded size and is never built whole, so a report of
-    any length streams in bounded memory.  (``json.dumps`` with an
+    It takes dicts with str keys, lists, str, int, bool, None,
+    ``Rendered`` text and ``TextList`` items, and raises TypeError on
+    anything else.  Without ``write`` it returns the text.  With it, the
+    text goes to ``write`` in chunks of bounded size and is never built
+    whole, so a report of any length streams in bounded memory.  (``json.dumps`` with an
     indent runs CPython's pure-Python encoder, several times slower.)
     """
     chunks = None

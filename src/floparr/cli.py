@@ -31,10 +31,12 @@ import sys
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 from .arrangement import (
     Rendered,
+    TextList,
     arrangement_from_json,
     arrangement_to_json,
     build_affine,
@@ -150,13 +152,20 @@ def cmd_pi1(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryContactWarning)
         gens = generators(graph, max_atoms_per_chamber=args.cap)
-    rels = []
-    for group in atom_groups(graph, args.length_cap):
-        rendered = [Rendered(path_to_json(path)) for path in group]
-        rels += ({"p": p, "q": q} for p, q in combinations(rendered, 2))
+    # every atom is walked and rendered here, before the first byte; the
+    # entries {"p": ..., "q": ...} are spliced from these texts as they stream
+    groups = [[Rendered(path_to_json(path)) for path in group] for group in atom_groups(graph, args.length_cap)]
+
+    def relations(nl):
+        inner = nl + "  "
+        head, mid, tail = "{" + inner + '"p": ', "," + inner + '"q": ', nl + "}"
+        for group in groups:
+            for p, q in combinations([atom.at(inner) for atom in group], 2):
+                yield head, p, mid, q, tail
+
     report = {
         "generator_count": len(gens),
-        "relation_count": len(rels),
+        "relation_count": sum(comb(len(group), 2) for group in groups),
         "generators": [
             {
                 "atom": path_to_json(g.atom),
@@ -166,7 +175,7 @@ def cmd_pi1(args) -> int:
             }
             for g in gens
         ],
-        "relations": rels,
+        "relations": TextList(relations),
     }
     _emit(args, report)
     return 0

@@ -19,7 +19,7 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 
 from .chambers import ChamberGraph, walls
 from .errors import BaseMismatch, MissingEdgeAssignment, NonComposable, Unreachable
@@ -265,7 +265,7 @@ def equal_in_groupoid(
         for side in (0, 1):
             fresh = []
             for letters in frontier[side]:
-                for rewritten in list(_cancellations(letters)) + list(_swaps(letters, rules)):
+                for rewritten in chain(_cancellations(letters), _swaps(letters, rules)):
                     if rewritten in seen[1 - side]:
                         return GroupoidEquality.PROVEN_EQUAL
                     if rewritten not in seen[side]:

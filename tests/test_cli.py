@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from floparr import errors
+from floparr.cli import main
 
 CLI = [sys.executable, "-m", "floparr.cli"]
 
@@ -344,6 +346,31 @@ def test_pi1_out_file_matches_stdout(tmp_path):
     proc = run("pi1", "A3:J={}", "--out", str(target), check=True)
     assert proc.stdout == ""
     assert target.read_bytes() == run("pi1", "A3:J={}", check=True).stdout.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["A3:J={}"], ["A2:J={}", "--window", "3/2"], ["D4:J={0,2}", "--window", "3/2", "--length-cap", "4"]],
+    ids=["A3", "A2 window 3/2", "D4:J={0,2} window 3/2 cap 4"],
+)
+def test_pi1_relation_count_matches_listing(argv):
+    # the count is summed over the atom groups, apart from the streamed listing
+    doc = json.loads(run("pi1", *argv, check=True).stdout)
+    assert doc["relation_count"] == len(doc["relations"]) > 0
+
+
+def test_pi1_memory_peak(tmp_path):
+    # 95444 relations; traced peak about 9 MB when the entries are spliced
+    # from the shared atom texts, about 28 MB with one dict per relation
+    target = tmp_path / "pi1.json"
+    tracemalloc.start()
+    try:
+        assert main(["pi1", "D4:J={0,2}", "--window", "3/2", "--out", str(target)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.stat().st_size == 56123754
+    assert peak < 16 * 10**6
 
 
 def test_pi1_failure_writes_nothing():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floparr.arrangement import Rendered, dumps
+from floparr.arrangement import Rendered, TextList, dumps
 
 # quotes, backslashes, control characters, non-ASCII and astral characters
 # next to plain ones, so that every escaping rule of json.dumps is hit
@@ -77,5 +77,48 @@ def test_streams_in_bounded_chunks():
     dumps(report, chunks.append)
     whole = "".join(chunks)
     assert whole == reference(report)
+    assert len(chunks) >= 5
+    assert max(len(c) for c in chunks) < len(whole) // 4
+
+
+def text_list(items, cut):
+    """A TextList of ``items``, each yielded in pieces of ``cut`` characters."""
+    rendered = [Rendered(v) for v in items]
+
+    def pieces(nl):
+        for r in rendered:
+            text = r.at(nl)
+            yield tuple(text[i : i + cut] for i in range(0, len(text), cut))
+
+    return TextList(pieces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(values, max_size=6), st.integers(1, 9), values, st.lists(st.sampled_from(["list", "dict"]), max_size=4)
+)
+def test_text_list_splices_at_any_depth(items, cut, other, nesting):
+    # a TextList emits the bytes of the materialised list at the depth where
+    # it sits, next to Rendered values, and again when reused at another depth
+    lazy, shared = text_list(items, cut), Rendered(other)
+    plain, spliced = [other, items], [shared, lazy]
+    for kind in nesting:
+        plain = [1, plain] if kind == "list" else {"k": plain, "z": [plain], "r": other}
+        spliced = [1, spliced] if kind == "list" else {"k": spliced, "z": [spliced], "r": shared}
+    assert dumps(spliced) == reference(plain)
+
+
+def test_empty_text_list():
+    empty = TextList(lambda nl: iter(()))
+    assert dumps(empty) == "[]\n"
+    assert dumps({"a": empty, "b": [empty, 1]}) == reference({"a": [], "b": [[], 1]})
+
+
+def test_text_list_streams_in_bounded_chunks():
+    items = [{"p": {"source": i, "edges": [i, i + 1]}, "q": [str(i)]} for i in range(20000)]
+    chunks = []
+    dumps({"relations": text_list(items, 7)}, chunks.append)
+    whole = "".join(chunks)
+    assert whole == reference({"relations": items})
     assert len(chunks) >= 5
     assert max(len(c) for c in chunks) < len(whole) // 4
