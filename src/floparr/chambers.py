@@ -12,11 +12,24 @@ with h's sign flipped is a chamber, so one witness solve per new sign
 vector finds the neighbour.  One memo maps each sign vector solved so
 far to its chamber id, or to None once it is proven empty.  A flip that
 breaks the +...+-...- sign order along the translates of one normal is
-empty, so it is skipped before the flipped vector is even built.  One
-builder, ``_rows``, writes every chamber system: each hyperplane on its
-side, then the window box.  The boundary flag substitutes each window
-face ``x_i = +-p/q`` (for radius p/q) into the closed chamber's weak
-system, scaled by q so the rows stay integral.
+empty, so it is skipped before the flipped vector is even built.  Each
+hyperplane's row is built once per enumeration, on both sides, for the
+open chamber and for each closed window face ``x_i = +-p/q`` (for radius
+p/q), where the weak row is substituted and scaled by q so the rows stay
+integral; a solve only picks rows from that table.
+
+Antipodal memo: when every hyperplane (a, k) has a partner (a, -k), as
+in every arrangement built from Dynkin data, x -> -x maps the
+arrangement and the symmetric window box onto themselves.  The mirror
+of a sign vector v, ``m[h] = -v[partner(h)]``, then cuts out exactly
+the negated region.  So one solve of v also settles m: m is empty when v
+is, m's witness is exactly -(v's witness), because the kernel's witness
+depends only on the feasible set and its interval rule is odd under
+negation, and m's boundary flag equals v's.  The result waits in a side
+dict until the search reaches m.  The seed's witness comes from the
+probe and not from the kernel, so nothing is mirrored onto it.  An
+arrangement without partners (possible for ``--in`` input) is searched
+with one solve per vector.
 
 Ids are assigned in discovery order, with each chamber expanding its
 hyperplanes in increasing index.  For each adjacent pair both directed
@@ -106,33 +119,69 @@ class ChamberGraph:
         return self._by_signs.get(tuple(signs))
 
 
-def _rows(arr, signs, strict=True):
-    """Each hyperplane on its side of the chamber, then the window box if any."""
-    rows = [
-        (tuple(s * v for v in plane.normal), s * plane.level, strict)
-        for plane, s in zip(arr.hyperplanes, signs)
-    ]
-    if arr.radius is not None:
-        rows += box_constraints(arr.dim, arr.radius, strict)
-    return rows
+def _row_table(arr):
+    """Every row a solve needs, each built once: ``(dim, chamber, faces)``.
 
+    A system is a pair ``(sides, tail)``: ``sides[h]`` is the triple
+    ``(None, row on the + side, row on the - side)`` of hyperplane h, so
+    that ``sides[h][s]`` is its row for sign s, and ``tail`` holds the
+    window rows after them.  ``chamber`` is the open chamber: strict rows,
+    then the open box.  ``faces`` holds one system per closed window face
+    ``x_i = +-p/q``: the weak rows with x_i substituted and scaled by q,
+    leaving dim - 1 variables.  A central arrangement has no faces.
+    """
 
-def _touches_boundary(arr, signs) -> bool:
-    """Does the closure of the chamber meet the window boundary?"""
+    def signed(a, b, strict):
+        return (None, (a, b, strict), (tuple(-v for v in a), -b, strict))
+
+    planes = [(tuple(plane.normal), plane.level) for plane in arr.hyperplanes]
+    window = [] if arr.radius is None else box_constraints(arr.dim, arr.radius)
+    chamber = ([signed(a, b, True) for a, b in planes], window)
     if arr.radius is None:
-        return False
-    weak = _rows(arr, signs, strict=False)
+        return arr.dim, chamber, ()
+    box = box_constraints(arr.dim, arr.radius, strict=False)
     p, q = arr.radius.numerator, arr.radius.denominator
+    faces = []
     for i in range(arr.dim):
         for side in (p, -p):
-            # substitute x_i = side / q and scale by q, leaving dim - 1 variables
-            face = [
-                (tuple(q * v for v in a[:i] + a[i + 1 :]), q * b - a[i] * side, s)
-                for a, b, s in weak
-            ]
-            if feasible_point(arr.dim - 1, face) is not None:
-                return True
-    return False
+
+            def sub(a, b):
+                # substitute x_i = side / q and scale by q
+                return tuple(q * v for v in a[:i] + a[i + 1 :]), q * b - a[i] * side
+
+            faces.append(([signed(*sub(a, b), False) for a, b in planes], [(*sub(a, b), s) for a, b, s in box]))
+    return arr.dim, chamber, faces
+
+
+def _rows(system, signs):
+    """Each hyperplane's row on its side of the chamber, then the window rows."""
+    sides, tail = system
+    return [pair[s] for pair, s in zip(sides, signs)] + tail
+
+
+def _touches_boundary(table, signs) -> bool:
+    """Does the closure of the chamber meet the window boundary?"""
+    dim, _, faces = table
+    return any(feasible_point(dim - 1, _rows(face, signs)) is not None for face in faces)
+
+
+def _solve(table, signs):
+    """``(witness, boundary flag)`` of a sign vector, or None if it is empty."""
+    dim, chamber, _ = table
+    witness = feasible_point(dim, _rows(chamber, signs))
+    if witness is None:
+        return None
+    return witness, _touches_boundary(table, signs)
+
+
+def _partners(planes):
+    """The index of (a, -k) for each hyperplane (a, k), or None if one has none."""
+    where = {(plane.normal, plane.level): h for h, plane in enumerate(planes)}
+    partner = [where.get((plane.normal, -plane.level)) for plane in planes]
+    # a repeated hyperplane would make the map non-injective
+    if len(where) < len(planes) or None in partner:
+        return None
+    return partner
 
 
 def _breaks_class_order(planes, signs, h) -> bool:
@@ -176,7 +225,7 @@ def seed_chamber(arr: Arrangement) -> Chamber:
         values = [dot(point, h.normal) - h.level for h in arr.hyperplanes]
         if all(v != 0 for v in values):
             signs = tuple(1 if v > 0 else -1 for v in values)
-            return Chamber(0, signs, point, _touches_boundary(arr, signs))
+            return Chamber(0, signs, point, _touches_boundary(_row_table(arr), signs))
     raise AssertionError("more than dim roots of a nonzero polynomial of degree dim")
 
 
@@ -186,10 +235,15 @@ def enumerate_chambers(arr: Arrangement) -> ChamberGraph:
     bound = sum(comb(len(planes), i) for i in range(arr.dim + 1))
     if bound > MAX_CHAMBERS:
         raise Overflow(f"up to {bound} chambers by Buck's bound, more than {MAX_CHAMBERS}")
+    table = _row_table(arr)
+    partner = _partners(planes)
     seed = seed_chamber(arr)
     chambers = [seed]
     # sign vector -> chamber id, or None once the vector is proven empty
     index = {seed.signs: 0}
+    # mirrors of solved vectors the search has not reached yet, with
+    # their (witness, boundary flag), or None when empty
+    pending = {}
     edges = []
     for current in chambers:
         signs = current.signs
@@ -201,12 +255,20 @@ def enumerate_chambers(arr: Arrangement) -> ChamberGraph:
                 continue
             flipped = signs[:h] + (-signs[h],) + signs[h + 1 :]
             if flipped not in index:
-                witness = feasible_point(arr.dim, _rows(arr, flipped))
-                if witness is None:
+                if flipped in pending:
+                    found = pending.pop(flipped)
+                else:
+                    found = _solve(table, flipped)
+                    if partner is not None:
+                        mirror = tuple(-flipped[g] for g in partner)
+                        # the seed is in index, so nothing lands on it
+                        if mirror not in index and mirror != flipped:
+                            pending[mirror] = None if found is None else (tuple(-v for v in found[0]), found[1])
+                if found is None:
                     index[flipped] = None
                 else:
                     index[flipped] = len(chambers)
-                    chambers.append(Chamber(len(chambers), flipped, witness, _touches_boundary(arr, flipped)))
+                    chambers.append(Chamber(len(chambers), flipped, *found))
             if index[flipped] is not None:
                 edges.append(Edge(len(edges), current.id, index[flipped], h))
     return ChamberGraph(arr, chambers, edges)

@@ -12,6 +12,8 @@ from math import lcm
 import networkx as nx
 
 from floparr import (
+    Arrangement,
+    Hyperplane,
     build_affine,
     build_finite,
     enumerate_chambers,
@@ -38,6 +40,12 @@ def central(text):
 
 def affine(text, radius):
     return build_affine(parse_data(text), Fraction(radius))
+
+
+def parallel_line(n):
+    """n translates x = -(n // 2) .. n - n // 2 - 1 of one point in a dim-1 window."""
+    low = -(n // 2)
+    return Arrangement(1, Fraction(n // 2 + 1), tuple(Hyperplane((1,), k) for k in range(low, low + n)))
 
 
 def central_graph(text):

@@ -5,8 +5,6 @@ import pytest
 
 import floparr.chambers
 from floparr import (
-    Arrangement,
-    Hyperplane,
     UnknownChamber,
     arrangement_from_json,
     build_affine,
@@ -29,6 +27,7 @@ from helpers import (
     central_graph,
     check_graph_invariants,
     integral,
+    parallel_line,
     sector_count,
 )
 
@@ -269,6 +268,43 @@ def test_walls_and_boundary_match_direct_systems(name):
         assert c.boundary == _boundary_reference(arr, c.signs), c.id
 
 
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_mirror_results_match_full_solves(monkeypatch, name):
+    # every vector the antipodal memo decided, solved again in full:
+    # the same emptiness, the same witness and the same boundary flag
+    arr = ORACLE_CASES[name]()
+    solved = set()
+    solve = floparr.chambers._solve
+
+    def recorded(table, signs):
+        solved.add(signs)
+        return solve(table, signs)
+
+    monkeypatch.setattr(floparr.chambers, "_solve", recorded)
+    g = enumerate_chambers(arr)
+    planes = arr.hyperplanes
+    looked_up = {
+        c.signs[:h] + (-c.signs[h],) + c.signs[h + 1 :]
+        for c in g.chambers
+        for h in range(len(planes))
+        if not floparr.chambers._breaks_class_order(planes, c.signs, h)
+    }
+    decided = looked_up - solved - {g.chambers[0].signs}
+    symmetric = floparr.chambers._partners(planes) is not None
+    assert symmetric == (name != "parallel json r=1")
+    assert bool(decided) == symmetric
+    table = floparr.chambers._row_table(arr)
+    for signs in decided:
+        witness = feasible_point(arr.dim, integral(_strict_signs(arr, signs) + _open_window(arr)))
+        cid = g.id_of_signs(signs)
+        if witness is None:
+            assert cid is None, signs
+        else:
+            assert cid is not None, signs
+            assert g.chambers[cid].witness == witness, signs
+            assert g.chambers[cid].boundary == floparr.chambers._touches_boundary(table, signs), signs
+
+
 def _a5_height_two():
     # the nine roots of A5 of height at most 2: a central arrangement in dim 5
     normals = sorted(
@@ -290,8 +326,10 @@ def _a5_height_two():
         (lambda: affine("A2:J={}", Fraction(3, 2)), "d0ac71acb0554e8517afe9d22cac6c43fb552d4c75067140dfb06bb0d940a8d3"),
         (lambda: affine("A3:J={}", 1), "8515f554ba4ce85f5355e62c63c88259492990198ba90e067745de3f3d5250f6"),
         (_a5_height_two, "db07b3a005cd4be367413fec814d37190afc6d13394c6743e3724bc3717b12ac"),
+        (lambda: central("D4:J={}"), "c9d0f92ca21f1819730fb6d0418b2a010e8082cbfac6858c9a0251d51add2648"),
+        (lambda: affine("D4:J={0,2}", Fraction(3, 2)), "e3691635b70fae45577aae19ef7a702f523d01d9639946efa74a37efe4ba7995"),
     ],
-    ids=["A3", "A2 r=3/2", "A3 r=1", "A5 height<=2"],
+    ids=["A3", "A2 r=3/2", "A3 r=1", "A5 height<=2", "D4", "D4:J={0,2} r=3/2"],
 )
 def test_graph_json_pinned(arr, digest):
     # ids, signs, edges, boundary flags and witnesses, byte for byte
@@ -299,29 +337,25 @@ def test_graph_json_pinned(arr, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def _parallel_line(n):
-    # n translates x = -(n // 2) .. n - n // 2 - 1 of one point in a dim-1 window
-    low = -(n // 2)
-    return Arrangement(1, Fraction(n // 2 + 1), tuple(Hyperplane((1,), k) for k in range(low, low + n)))
-
-
 @pytest.mark.parametrize(
     "arr, witness, boundary",
     [
-        (lambda: central("D4:J={}"), 1343, 0),
-        (_a5_height_two, 431, 0),
-        (lambda: affine("A2:J={}", Fraction(7, 2)), 247, 417),
-        (lambda: affine("A3:J={}", 1), 397, 72),
-        (lambda: affine("D4:J={0,2}", Fraction(3, 2)), 201, 157),
-        (lambda: _parallel_line(300), 300, 601),
+        (lambda: central("D4:J={}"), 672, 0),
+        (_a5_height_two, 216, 0),
+        (lambda: affine("A2:J={}", Fraction(7, 2)), 124, 200),
+        (lambda: affine("A3:J={}", 1), 199, 33),
+        (lambda: affine("D4:J={0,2}", Fraction(3, 2)), 101, 75),
+        (lambda: parallel_line(300), 300, 601),
     ],
     ids=["D4", "A5 height<=2", "A2 r=7/2", "A3 r=1", "D4:J={0,2} r=3/2", "300 parallel"],
 )
 def test_enumeration_solve_counts_pinned(monkeypatch, arr, witness, boundary):
     # feasibility solves are the enumeration's machine-independent cost:
     # full-dimension witness solves, and dim - 1 window-face solves for
-    # boundary flags; the parallel line solves no empty vector at all.
-    # Every row sent is integral, as the kernel requires.
+    # boundary flags.  The antipodal memo settles each solved vector's
+    # mirror as well, which halves both; the parallel line has no partner
+    # for its lowest level, so it solves every vector itself, and no
+    # empty one at all.  Every row sent is integral, as the kernel requires.
     arr = arr()
     calls = {arr.dim: 0, arr.dim - 1: 0}
 
@@ -336,7 +370,7 @@ def test_enumeration_solve_counts_pinned(monkeypatch, arr, witness, boundary):
 
 
 def test_long_parallel_family():
-    g = enumerate_chambers(_parallel_line(300))
+    g = enumerate_chambers(parallel_line(300))
     assert len(g.chambers) == 301
     assert len(g.edges) == 600
     ends = {g.id_of_signs((1,) * 300), g.id_of_signs((-1,) * 300)}
