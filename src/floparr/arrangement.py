@@ -15,7 +15,7 @@ identical JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
@@ -29,33 +29,36 @@ Root = tuple[int, ...]
 MAX_TRANSLATES = 10**5
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(namedtuple("Hyperplane", "normal level")):
     """The set ``normal . x = level``; central hyperplanes have level 0."""
 
-    normal: tuple[int, ...]
-    level: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not any(self.normal):
+    def __new__(cls, normal: tuple[int, ...], level: int):
+        if not any(normal):
             raise ValueError("hyperplane normal must be nonzero")
+        return super().__new__(cls, normal, level)
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(namedtuple("Arrangement", "dim radius hyperplanes")):
     """A finite list of hyperplanes, central or inside a box window.
 
     ``radius`` is None for central arrangements and the half-width of
-    the open box window otherwise.
+    the open box window otherwise.  A hyperplane given twice raises
+    ValueError.  Only equal ``(normal, level)`` pairs count as repeats:
+    proportional copies such as ``(1,)`` and ``(2,)`` are not caught
+    here, so library callers pass primitive normals, as every builder
+    and ``arrangement_from_json`` do.
     """
 
-    dim: int
-    radius: Fraction | None
-    hyperplanes: tuple[Hyperplane, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim > MAX_RANK:
-            raise Overflow(f"dim {self.dim} is above the cap {MAX_RANK}")
+    def __new__(cls, dim: int, radius: Fraction | None, hyperplanes: tuple[Hyperplane, ...]):
+        if dim > MAX_RANK:
+            raise Overflow(f"dim {dim} is above the cap {MAX_RANK}")
+        if len(set(hyperplanes)) != len(hyperplanes):
+            raise ValueError("an arrangement lists each hyperplane once")
+        return super().__new__(cls, dim, radius, hyperplanes)
 
     @property
     def is_affine(self) -> bool:
@@ -101,7 +104,7 @@ def build_finite(data: DynkinData) -> Arrangement:
     for sub in restrict_roots(data):
         normal, level = _primitive(sub, 0)
         normals.add(Hyperplane(normal, level))
-    return Arrangement(len(data.surviving), None, tuple(sorted(normals, key=lambda h: (h.normal, h.level))))
+    return Arrangement(len(data.surviving), None, tuple(sorted(normals)))
 
 
 def _window_top(normal, radius: Fraction) -> int:
@@ -138,7 +141,7 @@ def build_affine(data: DynkinData, radius: Fraction) -> Arrangement:
         for h, top in zip(finite.hyperplanes, tops)
         for k in range(-top, top + 1)
     ]
-    planes.sort(key=lambda h: (h.normal, h.level))
+    planes.sort()
     return Arrangement(finite.dim, radius, tuple(planes))
 
 
@@ -148,7 +151,7 @@ def product_arrangement(a: Arrangement, b: Arrangement) -> Arrangement:
         raise MixedKinds(f"cannot take a product of kinds {a.radius!r} and {b.radius!r}")
     planes = [Hyperplane(h.normal + (0,) * b.dim, h.level) for h in a.hyperplanes]
     planes += [Hyperplane((0,) * a.dim + h.normal, h.level) for h in b.hyperplanes]
-    planes.sort(key=lambda h: (h.normal, h.level))
+    planes.sort()
     return Arrangement(a.dim + b.dim, a.radius, tuple(planes))
 
 
@@ -196,7 +199,7 @@ def arrangement_from_json(obj: dict) -> Arrangement:
         if _primitive(normal, level) != (normal, level):
             raise ValueError(f"normal {normal!r} is not primitive and oriented")
         planes.append(Hyperplane(normal, level))
-    ordered = sorted(set(planes), key=lambda h: (h.normal, h.level))
+    ordered = sorted(set(planes))
     if list(planes) != list(ordered):
         raise ValueError("hyperplanes must be sorted and duplicate-free")
     return Arrangement(dim, radius, tuple(planes))
@@ -243,7 +246,11 @@ class TextList:
         self.items = items
 
 
-_FLUSH = 1 << 14  # buffered pieces per write while streaming
+# buffered pieces per write while streaming.  A piece can be a whole
+# rendered atom of a few hundred bytes (``TextList`` items), so the bound
+# is kept small enough that a chunk stays at tens to a few hundred KB;
+# a chunk of several MB, not the math, would set the CLI's peak RSS.
+_FLUSH = 1 << 10
 
 
 def _encode(value, nl, buf, write):
@@ -317,9 +324,13 @@ def dumps(obj, write=None):
     It takes dicts with str keys, lists, str, int, bool, None,
     ``Rendered`` text and ``TextList`` items, and raises TypeError on
     anything else.  Without ``write`` it returns the text.  With it, the
-    text goes to ``write`` in chunks of bounded size and is never built
-    whole, so a report of any length streams in bounded memory.  (``json.dumps`` with an
-    indent runs CPython's pure-Python encoder, several times slower.)
+    text goes to ``write`` in chunks and is never built whole, so a report
+    of any length streams in bounded memory.  A chunk holds about
+    ``_FLUSH`` pieces at most, each a scalar, a key, a separator, an
+    all-int list, a ``Rendered`` text or one piece of a ``TextList`` item
+    (for ``pi1``, a whole rendered atom), so its size is about ``_FLUSH``
+    times the largest piece.  (``json.dumps`` with an indent runs
+    CPython's pure-Python encoder, several times slower.)
     """
     chunks = None
     if write is None:

@@ -43,7 +43,7 @@ arrangements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -69,20 +69,17 @@ def _primes(limit):
 _PRIMES = _primes(_PROBE_LIMIT)
 
 
-@dataclass(frozen=True)
-class Chamber:
-    id: int
-    signs: tuple[int, ...]
-    witness: tuple[Fraction, ...]
-    boundary: bool
+class Chamber(namedtuple("Chamber", "id signs witness boundary")):
+    """A chamber: its id, sign vector, an interior witness point, and
+    whether its closure meets the window boundary."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    source: int
-    target: int
-    hyperplane: int
+class Edge(namedtuple("Edge", "id source target hyperplane")):
+    """A directed wall crossing from ``source`` to ``target`` across ``hyperplane``."""
+
+    __slots__ = ()
 
 
 class ChamberGraph:
@@ -279,12 +276,10 @@ def walls(graph: ChamberGraph, cid: int) -> tuple[int, ...]:
     return tuple(sorted(e.hyperplane for e in graph.out_edges(cid)))
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(namedtuple("Flat", "members dim")):
     """An intersection of hyperplanes, named by all hyperplanes containing it."""
 
-    members: frozenset[int]
-    dim: int
+    __slots__ = ()
 
 
 class IntersectionPoset:

@@ -32,7 +32,6 @@ import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from pathlib import Path
 
 from .arrangement import (
     Rendered,
@@ -78,7 +77,8 @@ def _resolve_arrangement(args):
         if args.data or args.window is not None:
             raise ParseFailure("--in FILE takes no Dynkin data string and no --window")
         try:
-            obj = json.loads(Path(args.infile).read_text())
+            with open(args.infile) as f:
+                obj = json.load(f)
             return arrangement_from_json(obj)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ParseFailure(f"cannot load arrangement from {args.infile}: {exc}") from exc
@@ -184,7 +184,8 @@ def cmd_pi1(args) -> int:
 def cmd_check(args) -> int:
     graph = enumerate_chambers(_resolve_arrangement(args))
     try:
-        table = json.loads(Path(args.rep).read_text())
+        with open(args.rep) as f:
+            table = json.load(f)
         cycles = {int(k): parse_cycles(v) for k, v in table.items()}
     except (OSError, ValueError, TypeError, AttributeError) as exc:
         raise ParseFailure(f"cannot load representation from {args.rep}: {exc}") from exc

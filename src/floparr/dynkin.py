@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EmptySurvivingSet, InvalidType, Overflow
 
@@ -38,22 +38,21 @@ _RANK_MAX = {"A": None, "D": None, "E": 8}
 _DATA_RE = re.compile(r"^([A-Z])(\d+):J=\{(\d+(?:,\d+)*)?\}$")
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class DynkinType(namedtuple("DynkinType", "family rank")):
     """A simply laced type such as A4, D5 or E7."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidType(f"unknown family {self.family!r}")
-        lo = _RANK_MIN[self.family]
-        hi = _RANK_MAX[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise InvalidType(f"{self.family}{self.rank} is not a valid type")
-        if self.rank > MAX_RANK:
-            raise Overflow(f"rank {self.rank} of {self.family}{self.rank} is above the cap {MAX_RANK}")
+    def __new__(cls, family: str, rank: int):
+        if family not in FAMILIES:
+            raise InvalidType(f"unknown family {family!r}")
+        lo = _RANK_MIN[family]
+        hi = _RANK_MAX[family]
+        if rank < lo or (hi is not None and rank > hi):
+            raise InvalidType(f"{family}{rank} is not a valid type")
+        if rank > MAX_RANK:
+            raise Overflow(f"rank {rank} of {family}{rank} is above the cap {MAX_RANK}")
+        return super().__new__(cls, family, rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -110,25 +109,24 @@ def positive_roots(delta: DynkinType) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(roots))
 
 
-@dataclass(frozen=True)
-class DynkinData:
+class DynkinData(namedtuple("DynkinData", "delta contracted")):
     """A diagram with a set of contracted nodes J.
 
     The surviving nodes J^c must be nonempty; they are kept sorted and
     index the coordinates of every arrangement built from this data.
     """
 
-    delta: DynkinType
-    contracted: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        nodes = range(self.delta.rank)
-        bad = [i for i in self.contracted if i not in nodes]
+    def __new__(cls, delta: DynkinType, contracted: frozenset[int]):
+        nodes = range(delta.rank)
+        bad = [i for i in contracted if i not in nodes]
         if bad:
-            raise InvalidType(f"contracted nodes {sorted(bad)} outside {self.delta}")
-        object.__setattr__(self, "contracted", frozenset(self.contracted))
-        if len(self.contracted) == self.delta.rank:
-            raise EmptySurvivingSet(f"every node of {self.delta} is contracted")
+            raise InvalidType(f"contracted nodes {sorted(bad)} outside {delta}")
+        contracted = frozenset(contracted)
+        if len(contracted) == delta.rank:
+            raise EmptySurvivingSet(f"every node of {delta} is contracted")
+        return super().__new__(cls, delta, contracted)
 
     @property
     def surviving(self) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ restores the label exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .chambers import ChamberGraph, walls
 from .errors import NonComposable, Overflow, Unreachable
@@ -34,12 +34,10 @@ class BoundaryContactWarning(UserWarning):
     """A shortest path ran through a window-boundary chamber."""
 
 
-@dataclass(frozen=True)
-class PositivePath:
+class PositivePath(namedtuple("PositivePath", "source edges")):
     """A start chamber plus an ordered tuple of directed edge ids."""
 
-    source: int
-    edges: tuple[int, ...]
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -154,11 +152,10 @@ def separating_set(graph: ChamberGraph, a: int, b: int) -> frozenset[int]:
     return frozenset(h for h, (x, y) in enumerate(zip(ca.signs, cb.signs)) if x != y)
 
 
-@dataclass(frozen=True)
-class MutationLabel:
+class MutationLabel(namedtuple("MutationLabel", "symbols")):
     """Formal summand symbols, one per wall of the labeled chamber."""
 
-    symbols: tuple
+    __slots__ = ()
 
 
 def initial_label(graph: ChamberGraph, cid: int, stem: str = "M") -> MutationLabel:

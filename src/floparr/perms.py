@@ -7,24 +7,33 @@ inverse, identity, and parsing of strings like "(0 1)(2 4)" or "()".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-@dataclass(frozen=True, eq=False)
 class Perm:
     """A permutation stored by its tuple of images.
 
     Points past the end of ``images`` are fixed, so equality and hashing
     ignore trailing fixed points: ``Perm((1, 0)) == Perm((1, 0, 2))``.
+    A Perm is immutable: assigning to ``images`` raises AttributeError.
     """
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a permutation: {self.images!r}")
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a permutation: {images!r}")
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Perm")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Perm")
+
+    def __repr__(self) -> str:
+        return f"Perm(images={self.images!r})"
 
     @staticmethod
     def identity(degree: int) -> Perm:

@@ -16,8 +16,8 @@ equalities up to a depth bound; it never claims a false equality.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations
 
@@ -33,19 +33,16 @@ from .galleries import (
 )
 
 
-@dataclass(frozen=True)
-class GroupoidWord:
+class GroupoidWord(namedtuple("GroupoidWord", "base letters")):
     """A base chamber plus signed edge letters (edge id, +1 or -1)."""
 
-    base: int
-    letters: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pi1Generator:
-    atom: PositivePath
-    wall: int
-    loop: GroupoidWord
+class Pi1Generator(namedtuple("Pi1Generator", "atom wall loop")):
+    """The loop ``word(atom) e_i f_i word(atom)^{-1}`` around ``wall``."""
+
+    __slots__ = ()
 
 
 class GroupoidEquality(Enum):
@@ -153,10 +150,10 @@ def crossing_homomorphism(graph: ChamberGraph, word: GroupoidWord) -> tuple[int,
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    checked: int
-    failures: tuple[int, ...]
+class CheckReport(namedtuple("CheckReport", "checked failures")):
+    """How many relations were evaluated, and the indices of those that failed."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from floparr import (
+    Arrangement,
     Hyperplane,
     MixedKinds,
     Overflow,
@@ -54,6 +55,15 @@ def test_build_finite_full_a3():
 def test_hyperplane_validation():
     with pytest.raises(ValueError):
         Hyperplane((0, 0), 0)
+
+
+def test_repeated_hyperplane_rejected():
+    # enumeration never crosses a doubled hyperplane, since flipping one
+    # copy alone is empty: x = 0 twice gave 1 chamber where Zaslavsky gives 2
+    with pytest.raises(ValueError, match="once"):
+        Arrangement(1, None, (Hyperplane((1,), 0),) * 2)
+    with pytest.raises(ValueError, match="once"):
+        Arrangement(2, Fraction(1), (Hyperplane((0, 1), 0), Hyperplane((1, 0), 0), Hyperplane((0, 1), 0)))
 
 
 def test_normals_primitive_and_sorted():

@@ -560,3 +560,14 @@ def test_output_independent_of_hash_seed(argv):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_import_footprint():
+    # the records are namedtuples and --in/--rep are read with open(), so a
+    # run loads none of these; -S keeps a site .pth file from preloading one
+    src = os.path.dirname(os.path.dirname(errors.__file__))
+    code = "import floparr.cli, sys; print(*[m for m in ('dataclasses', 'inspect', 'pathlib', 'typing') if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

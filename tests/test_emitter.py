@@ -122,3 +122,22 @@ def test_text_list_streams_in_bounded_chunks():
     assert whole == reference({"relations": items})
     assert len(chunks) >= 5
     assert max(len(c) for c in chunks) < len(whole) // 4
+
+
+def test_text_list_of_atoms_streams_in_small_chunks():
+    # pi1's relations: 20,000 items of about 700 B, each spliced from two
+    # rendered atoms, so one buffered piece is a whole atom of about 350 B
+    atoms = [{"source": i, "edges": list(range(i, i + 20))} for i in range(200)]
+    rendered = [Rendered(atom) for atom in atoms]
+    pairs = [(i % 200, (7 * i + 1) % 200) for i in range(20000)]
+
+    def relations(nl):
+        inner = nl + "  "
+        head, mid, tail = "{" + inner + '"p": ', "," + inner + '"q": ', nl + "}"
+        for i, j in pairs:
+            yield head, rendered[i].at(inner), mid, rendered[j].at(inner), tail
+
+    chunks = []
+    dumps({"relations": TextList(relations)}, chunks.append)
+    assert "".join(chunks) == reference({"relations": [{"p": atoms[i], "q": atoms[j]} for i, j in pairs]})
+    assert max(len(c) for c in chunks) < 1 << 20

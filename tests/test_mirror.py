@@ -106,14 +106,14 @@ def arrangements(draw):
 
 # a symmetric window with a line parallel to a box face, the same lines
 # less one translate, and a repeated hyperplane, whose partner map would
-# not be injective
+# not be injective (Arrangement rejects repeats, so only _partners sees it)
 SYMMETRIC = Arrangement(
     2,
     Fraction(3, 2),
     (Hyperplane((0, 1), -1), Hyperplane((0, 1), 1), Hyperplane((1, 1), 0), Hyperplane((1, 2), -1), Hyperplane((1, 2), 1)),
 )
 ONE_SIDED = Arrangement(2, SYMMETRIC.radius, SYMMETRIC.hyperplanes[1:])
-REPEATED = Arrangement(1, None, (Hyperplane((1,), 0), Hyperplane((1,), 0)))
+REPEATED = (Hyperplane((1,), 0), Hyperplane((1,), 0))
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -122,7 +122,6 @@ PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=N
 @given(arrangements())
 @example(SYMMETRIC)
 @example(ONE_SIDED)
-@example(REPEATED)
 def test_enumeration_matches_reference_loop(arr):
     assert graph_to_json(enumerate_chambers(arr)) == graph_to_json(reference_enumeration(arr))
 
@@ -130,7 +129,7 @@ def test_enumeration_matches_reference_loop(arr):
 def test_partners():
     assert _partners(SYMMETRIC.hyperplanes) == [1, 0, 2, 4, 3]
     assert _partners(ONE_SIDED.hyperplanes) is None
-    assert _partners(REPEATED.hyperplanes) is None
+    assert _partners(REPEATED) is None
 
 
 def _a2_less_one_translate():
