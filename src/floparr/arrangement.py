@@ -44,11 +44,11 @@ class Arrangement(namedtuple("Arrangement", "dim radius hyperplanes")):
     """A finite list of hyperplanes, central or inside a box window.
 
     ``radius`` is None for central arrangements and the half-width of
-    the open box window otherwise.  A hyperplane given twice raises
-    ValueError.  Only equal ``(normal, level)`` pairs count as repeats:
-    proportional copies such as ``(1,)`` and ``(2,)`` are not caught
-    here, so library callers pass primitive normals, as every builder
-    and ``arrangement_from_json`` do.
+    the open box window otherwise.  Every arrangement, built or loaded,
+    meets one contract, and a broken rule raises ValueError: ``dim >= 1``,
+    a positive radius, ``dim`` entries per normal, each ``(normal, level)``
+    primitive and oriented, level 0 throughout when central, and the
+    hyperplanes in strictly increasing order, so each is listed once.
     """
 
     __slots__ = ()
@@ -56,8 +56,19 @@ class Arrangement(namedtuple("Arrangement", "dim radius hyperplanes")):
     def __new__(cls, dim: int, radius: Fraction | None, hyperplanes: tuple[Hyperplane, ...]):
         if dim > MAX_RANK:
             raise Overflow(f"dim {dim} is above the cap {MAX_RANK}")
-        if len(set(hyperplanes)) != len(hyperplanes):
-            raise ValueError("an arrangement lists each hyperplane once")
+        if dim < 1:
+            raise ValueError("dim must be a positive integer")
+        if radius is not None and radius <= 0:
+            raise ValueError(f"window radius must be positive, got {radius}")
+        for h in hyperplanes:
+            if len(h.normal) != dim:
+                raise ValueError(f"normal {h.normal!r} does not have {dim} entries")
+            if _primitive(*h) != h:
+                raise ValueError(f"normal {h.normal!r} with level {h.level} is not primitive and oriented")
+            if radius is None and h.level != 0:
+                raise ValueError("central arrangements have level 0 only")
+        if any(a >= b for a, b in zip(hyperplanes, hyperplanes[1:])):
+            raise ValueError("an arrangement lists its hyperplanes in increasing order, each once")
         return super().__new__(cls, dim, radius, hyperplanes)
 
     @property
@@ -129,8 +140,6 @@ def build_affine(data: DynkinData, radius: Fraction) -> Arrangement:
     would be more than ``MAX_TRANSLATES``.
     """
     radius = Fraction(radius)
-    if radius <= 0:
-        raise ValueError("window radius must be positive")
     finite = build_finite(data)
     tops = [_window_top(h.normal, radius) for h in finite.hyperplanes]
     count = sum(2 * top + 1 for top in tops)
@@ -147,7 +156,7 @@ def build_affine(data: DynkinData, radius: Fraction) -> Arrangement:
 
 def product_arrangement(a: Arrangement, b: Arrangement) -> Arrangement:
     """Juxtapose two arrangements of the same kind in R^{dim a + dim b}."""
-    if (a.radius is None) != (b.radius is None) or a.radius != b.radius:
+    if a.radius != b.radius:
         raise MixedKinds(f"cannot take a product of kinds {a.radius!r} and {b.radius!r}")
     planes = [Hyperplane(h.normal + (0,) * b.dim, h.level) for h in a.hyperplanes]
     planes += [Hyperplane((0,) * a.dim + h.normal, h.level) for h in b.hyperplanes]
@@ -169,9 +178,12 @@ def _is_int(value) -> bool:
 
 
 def arrangement_from_json(obj: dict) -> Arrangement:
-    """Load and validate an arrangement, e.g. one built from a user matrix."""
+    """Decode an arrangement, e.g. one built from a user matrix.
+
+    Only the JSON types are checked here; ``Arrangement`` checks the rest.
+    """
     dim = obj["dim"]
-    if not _is_int(dim) or dim < 1:
+    if not _is_int(dim):
         raise ValueError("dim must be a positive integer")
     kind = obj["kind"]
     if kind == "central":
@@ -184,49 +196,16 @@ def arrangement_from_json(obj: dict) -> Arrangement:
             radius = Fraction(text)
         except ZeroDivisionError as exc:
             raise ValueError(f"bad radius {text!r}") from exc
-        if radius <= 0:
-            raise ValueError("window radius must be positive")
     planes = []
     for item in obj["hyperplanes"]:
         normal = tuple(item["normal"])
         level = item["level"]
-        if len(normal) != dim or not all(_is_int(v) for v in normal) or not any(normal):
+        if not all(_is_int(v) for v in normal):
             raise ValueError(f"bad normal {normal!r}")
         if not _is_int(level):
             raise ValueError(f"bad level {level!r}")
-        if radius is None and level != 0:
-            raise ValueError("central arrangements have level 0 only")
-        if _primitive(normal, level) != (normal, level):
-            raise ValueError(f"normal {normal!r} is not primitive and oriented")
         planes.append(Hyperplane(normal, level))
-    ordered = sorted(set(planes))
-    if list(planes) != list(ordered):
-        raise ValueError("hyperplanes must be sorted and duplicate-free")
     return Arrangement(dim, radius, tuple(planes))
-
-
-class Rendered:
-    """A value's JSON text, rendered once and spliced by ``dumps`` at any depth.
-
-    A report that repeats one value many times (an atom recurs in every
-    relation of its chamber pair) renders it once instead of walking it
-    at each occurrence.
-    """
-
-    __slots__ = ("nl", "text")
-
-    def __init__(self, obj):
-        self.nl, self.text = "\n", dumps(obj)[:-1]
-
-    def at(self, nl: str) -> str:
-        """The text for a value that starts on a line indented as ``nl``.
-
-        Every line break in the text is followed by the current indent, so
-        re-indenting is one replace; the last indent is kept.
-        """
-        if nl != self.nl:
-            self.nl, self.text = nl, self.text.replace(self.nl, nl)
-        return self.text
 
 
 class TextList:
@@ -291,8 +270,6 @@ def _encode(value, nl, buf, write):
                 write("".join(buf))
                 buf.clear()
         buf.append(nl + "]")
-    elif isinstance(value, Rendered):
-        buf.append(value.at(nl))
     elif isinstance(value, str):
         buf.append(_quote(value))
     elif value is None:
@@ -321,16 +298,15 @@ def _encode(value, nl, buf, write):
 def dumps(obj, write=None):
     """The one JSON emitter: the bytes of ``json.dumps(obj, indent=2) + "\n"``.
 
-    It takes dicts with str keys, lists, str, int, bool, None,
-    ``Rendered`` text and ``TextList`` items, and raises TypeError on
-    anything else.  Without ``write`` it returns the text.  With it, the
-    text goes to ``write`` in chunks and is never built whole, so a report
-    of any length streams in bounded memory.  A chunk holds about
-    ``_FLUSH`` pieces at most, each a scalar, a key, a separator, an
-    all-int list, a ``Rendered`` text or one piece of a ``TextList`` item
-    (for ``pi1``, a whole rendered atom), so its size is about ``_FLUSH``
-    times the largest piece.  (``json.dumps`` with an indent runs
-    CPython's pure-Python encoder, several times slower.)
+    It takes dicts with str keys, lists, str, int, bool, None and
+    ``TextList`` items, and raises TypeError on anything else.  Without
+    ``write`` it returns the text.  With it, the text goes to ``write`` in
+    chunks and is never built whole, so a report of any length streams in
+    bounded memory.  A chunk holds about ``_FLUSH`` pieces at most, each a
+    scalar, a key, a separator, an all-int list or one piece of a
+    ``TextList`` item (for ``pi1``, a whole rendered atom), so its size is
+    about ``_FLUSH`` times the largest piece.  (``json.dumps`` with an
+    indent runs CPython's pure-Python encoder, several times slower.)
     """
     chunks = None
     if write is None:

@@ -175,10 +175,7 @@ def _partners(planes):
     """The index of (a, -k) for each hyperplane (a, k), or None if one has none."""
     where = {(plane.normal, plane.level): h for h, plane in enumerate(planes)}
     partner = [where.get((plane.normal, -plane.level)) for plane in planes]
-    # a repeated hyperplane would make the map non-injective
-    if len(where) < len(planes) or None in partner:
-        return None
-    return partner
+    return None if None in partner else partner
 
 
 def _breaks_class_order(planes, signs, h) -> bool:

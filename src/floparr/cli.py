@@ -34,7 +34,6 @@ from itertools import combinations
 from math import comb
 
 from .arrangement import (
-    Rendered,
     TextList,
     arrangement_from_json,
     arrangement_to_json,
@@ -61,16 +60,6 @@ from .pi1 import (
 from .svgplot import arrangement_svg
 
 
-def _parse_radius(text: str) -> Fraction:
-    try:
-        radius = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseFailure(f"cannot parse radius {text!r}") from exc
-    if radius <= 0:
-        raise ParseFailure(f"radius must be positive, got {text!r}")
-    return radius
-
-
 def _resolve_arrangement(args):
     """Arrangement from a data string and an optional --window, or from --in JSON."""
     if args.infile:
@@ -85,9 +74,12 @@ def _resolve_arrangement(args):
     if not args.data:
         raise ParseFailure("need a Dynkin data string or --in FILE")
     data = parse_data(args.data)
-    if args.window is not None:
-        return build_affine(data, _parse_radius(args.window))
-    return build_finite(data)
+    if args.window is None:
+        return build_finite(data)
+    try:
+        return build_affine(data, Fraction(args.window))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseFailure(f"bad --window {args.window!r}: {exc}") from exc
 
 
 def _emit(args, report) -> None:
@@ -154,13 +146,13 @@ def cmd_pi1(args) -> int:
         gens = generators(graph, max_atoms_per_chamber=args.cap)
     # every atom is walked and rendered here, before the first byte; the
     # entries {"p": ..., "q": ...} are spliced from these texts as they stream
-    groups = [[Rendered(path_to_json(path)) for path in group] for group in atom_groups(graph, args.length_cap)]
+    groups = [[dumps(path_to_json(path))[:-1] for path in group] for group in atom_groups(graph, args.length_cap)]
 
     def relations(nl):
         inner = nl + "  "
         head, mid, tail = "{" + inner + '"p": ', "," + inner + '"q": ', nl + "}"
         for group in groups:
-            for p, q in combinations([atom.at(inner) for atom in group], 2):
+            for p, q in combinations([atom.replace("\n", inner) for atom in group], 2):
                 yield head, p, mid, q, tail
 
     report = {
@@ -303,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--rep", required=True, metavar="FILE", help="JSON edge id -> cycle notation")
     p.add_argument("--length-cap", type=_nonnegative("length cap"), default=None)
-    p.add_argument("--depth", type=_nonnegative("depth"), default=None, help="also re-prove relations by rewriting")
+    p.add_argument(
+        "--depth", type=_nonnegative("depth"), help="also re-prove relations by rewriting; any depth >= 1 proves all"
+    )
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("plot", help="SVG of a rank-2 arrangement")

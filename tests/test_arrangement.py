@@ -66,6 +66,42 @@ def test_repeated_hyperplane_rejected():
         Arrangement(2, Fraction(1), (Hyperplane((0, 1), 0), Hyperplane((1, 0), 0), Hyperplane((0, 1), 0)))
 
 
+X0, X1 = Hyperplane((1,), 0), Hyperplane((1,), 1)
+
+
+@pytest.mark.parametrize(
+    "dim, radius, planes",
+    [
+        (2, None, (Hyperplane((0, 1), 0), Hyperplane((1,), 0))),
+        (1, Fraction(0), (X0,)),
+        (1, Fraction(-1), (X0,)),
+        (1, None, (X0, Hyperplane((2,), 0))),
+        (1, Fraction(3), (X1, Hyperplane((2,), 2))),
+        (1, None, (Hyperplane((-1,), 0),)),
+        (1, None, (X1,)),
+        (2, None, (Hyperplane((1, 0), 0), Hyperplane((0, 1), 0))),
+        (0, None, ()),
+    ],
+    ids=[
+        "short normal",
+        "radius 0",
+        "radius -1",
+        "x = 0 and 2x = 0",
+        "x = 1 and 2x = 2",
+        "unoriented normal",
+        "central level 1",
+        "out of order",
+        "dim 0",
+    ],
+)
+def test_arrangement_checks_its_contract(dim, radius, planes):
+    # the rules --in enforces hold for a direct Arrangement too; unchecked,
+    # a short normal raises a bare IndexError in enumeration, and an empty
+    # window or x = 0 with 2x = 0 enumerates 1 chamber (Zaslavsky gives 2)
+    with pytest.raises(ValueError):
+        Arrangement(dim, radius, planes)
+
+
 def test_normals_primitive_and_sorted():
     for text in ("A3:J={}", "D4:J={}", "A4:J={0,3}"):
         arr = central(text)

@@ -464,7 +464,15 @@ def test_exit_code_table(cls):
 
 def test_exit_code_parse_failure():
     assert run("build", "Q9:J={}").returncode == 2
-    assert run("build", "A2:J={}", "--window", "nope").returncode == 2
+
+
+@pytest.mark.parametrize("window", ["nope", "0", "-1", "1/0"])
+def test_bad_window_is_a_parse_failure(window):
+    proc = run("chambers", "A2:J={}", "--window", window)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"floparr: bad --window {window!r}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_exit_code_empty_surviving():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floparr.arrangement import Rendered, TextList, dumps
+from floparr.arrangement import TextList, dumps
 
 # quotes, backslashes, control characters, non-ASCII and astral characters
 # next to plain ones, so that every escaping rule of json.dumps is hit
@@ -40,20 +40,6 @@ def test_bytes_equal_json_dumps(obj):
     assert "".join(chunks) == reference(obj)
 
 
-@settings(max_examples=60, deadline=None)
-@given(values, st.lists(st.sampled_from(["list", "dict"]), max_size=4))
-def test_rendered_splices_at_any_depth(obj, nesting):
-    # a Rendered value emits the bytes of the value itself, at the depth
-    # where it sits, and keeps doing so when reused at another depth
-    shared = Rendered(obj)
-    plain, spliced = obj, shared
-    for kind in nesting:
-        plain = [1, plain] if kind == "list" else {"k": plain, "z": [plain]}
-        spliced = [1, spliced] if kind == "list" else {"k": spliced, "z": [spliced]}
-    assert dumps(spliced) == reference(plain)
-    assert dumps([shared, {"x": shared}]) == reference([obj, {"x": obj}])
-
-
 def test_empty_and_int_only_containers():
     for obj in ({}, [], [[]], {"a": {}}, [1, -2, 10**30], [True, 1], [1, None], {"": [0]}):
         assert dumps(obj) == reference(obj)
@@ -83,11 +69,11 @@ def test_streams_in_bounded_chunks():
 
 def text_list(items, cut):
     """A TextList of ``items``, each yielded in pieces of ``cut`` characters."""
-    rendered = [Rendered(v) for v in items]
+    texts = [dumps(v)[:-1] for v in items]
 
     def pieces(nl):
-        for r in rendered:
-            text = r.at(nl)
+        for text in texts:
+            text = text.replace("\n", nl)
             yield tuple(text[i : i + cut] for i in range(0, len(text), cut))
 
     return TextList(pieces)
@@ -99,12 +85,12 @@ def text_list(items, cut):
 )
 def test_text_list_splices_at_any_depth(items, cut, other, nesting):
     # a TextList emits the bytes of the materialised list at the depth where
-    # it sits, next to Rendered values, and again when reused at another depth
-    lazy, shared = text_list(items, cut), Rendered(other)
-    plain, spliced = [other, items], [shared, lazy]
+    # it sits, next to plain values, and again when reused at another depth
+    lazy = text_list(items, cut)
+    plain, spliced = [other, items], [other, lazy]
     for kind in nesting:
         plain = [1, plain] if kind == "list" else {"k": plain, "z": [plain], "r": other}
-        spliced = [1, spliced] if kind == "list" else {"k": spliced, "z": [spliced], "r": shared}
+        spliced = [1, spliced] if kind == "list" else {"k": spliced, "z": [spliced], "r": other}
     assert dumps(spliced) == reference(plain)
 
 
@@ -128,14 +114,15 @@ def test_text_list_of_atoms_streams_in_small_chunks():
     # pi1's relations: 20,000 items of about 700 B, each spliced from two
     # rendered atoms, so one buffered piece is a whole atom of about 350 B
     atoms = [{"source": i, "edges": list(range(i, i + 20))} for i in range(200)]
-    rendered = [Rendered(atom) for atom in atoms]
+    texts = [dumps(atom)[:-1] for atom in atoms]
     pairs = [(i % 200, (7 * i + 1) % 200) for i in range(20000)]
 
     def relations(nl):
         inner = nl + "  "
         head, mid, tail = "{" + inner + '"p": ', "," + inner + '"q": ', nl + "}"
+        rendered = [text.replace("\n", inner) for text in texts]
         for i, j in pairs:
-            yield head, rendered[i].at(inner), mid, rendered[j].at(inner), tail
+            yield head, rendered[i], mid, rendered[j], tail
 
     chunks = []
     dumps({"relations": TextList(relations)}, chunks.append)

@@ -104,16 +104,14 @@ def arrangements(draw):
     return Arrangement(dim, radius, tuple(sorted(planes, key=lambda h: (h.normal, h.level))))
 
 
-# a symmetric window with a line parallel to a box face, the same lines
-# less one translate, and a repeated hyperplane, whose partner map would
-# not be injective (Arrangement rejects repeats, so only _partners sees it)
+# a symmetric window with a line parallel to a box face, and the same
+# lines less one translate
 SYMMETRIC = Arrangement(
     2,
     Fraction(3, 2),
     (Hyperplane((0, 1), -1), Hyperplane((0, 1), 1), Hyperplane((1, 1), 0), Hyperplane((1, 2), -1), Hyperplane((1, 2), 1)),
 )
 ONE_SIDED = Arrangement(2, SYMMETRIC.radius, SYMMETRIC.hyperplanes[1:])
-REPEATED = (Hyperplane((1,), 0), Hyperplane((1,), 0))
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -129,7 +127,6 @@ def test_enumeration_matches_reference_loop(arr):
 def test_partners():
     assert _partners(SYMMETRIC.hyperplanes) == [1, 0, 2, 4, 3]
     assert _partners(ONE_SIDED.hyperplanes) is None
-    assert _partners(REPEATED) is None
 
 
 def _a2_less_one_translate():
