@@ -29,6 +29,10 @@ Root = tuple[int, ...]
 MAX_TRANSLATES = 10**5
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Hyperplane(namedtuple("Hyperplane", "normal level")):
     """The set ``normal . x = level``; central hyperplanes have level 0."""
 
@@ -45,15 +49,20 @@ class Arrangement(namedtuple("Arrangement", "dim radius hyperplanes")):
 
     ``radius`` is None for central arrangements and the half-width of
     the open box window otherwise.  Every arrangement, built or loaded,
-    meets one contract, and a broken rule raises ValueError: ``dim >= 1``,
-    a positive radius, ``dim`` entries per normal, each ``(normal, level)``
-    primitive and oriented, level 0 throughout when central, and the
-    hyperplanes in strictly increasing order, so each is listed once.
+    meets one contract, and a broken rule raises ValueError: ``dim``,
+    every normal entry and every level an int, not a bool; tuple normals;
+    ``dim >= 1``; a positive int or Fraction radius; ``dim`` entries per
+    normal; each ``(normal, level)`` primitive and oriented; level 0
+    throughout when central; and strictly increasing hyperplanes, each once.
     """
 
     __slots__ = ()
 
     def __new__(cls, dim: int, radius: Fraction | None, hyperplanes: tuple[Hyperplane, ...]):
+        if not _is_int(dim):
+            raise ValueError(f"dim must be an integer, got {dim!r}")
+        if not (radius is None or _is_int(radius) or isinstance(radius, Fraction)):
+            raise ValueError(f"window radius must be an int or a Fraction, got {radius!r}")
         if dim > MAX_RANK:
             raise Overflow(f"dim {dim} is above the cap {MAX_RANK}")
         if dim < 1:
@@ -61,6 +70,8 @@ class Arrangement(namedtuple("Arrangement", "dim radius hyperplanes")):
         if radius is not None and radius <= 0:
             raise ValueError(f"window radius must be positive, got {radius}")
         for h in hyperplanes:
+            if not (isinstance(h.normal, tuple) and all(map(_is_int, h.normal)) and _is_int(h.level)):
+                raise ValueError(f"a hyperplane needs a tuple of ints and an int, got {h.normal!r} and {h.level!r}")
             if len(h.normal) != dim:
                 raise ValueError(f"normal {h.normal!r} does not have {dim} entries")
             if _primitive(*h) != h:
@@ -139,8 +150,8 @@ def build_affine(data: DynkinData, radius: Fraction) -> Arrangement:
     The translates are counted before any is built: Overflow when there
     would be more than ``MAX_TRANSLATES``.
     """
-    radius = Fraction(radius)
     finite = build_finite(data)
+    Arrangement(finite.dim, radius, ())  # the radius rules, before the radius is used
     tops = [_window_top(h.normal, radius) for h in finite.hyperplanes]
     count = sum(2 * top + 1 for top in tops)
     if count > MAX_TRANSLATES:
@@ -173,18 +184,12 @@ def arrangement_to_json(arr: Arrangement) -> dict:
     }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def arrangement_from_json(obj: dict) -> Arrangement:
     """Decode an arrangement, e.g. one built from a user matrix.
 
-    Only the JSON types are checked here; ``Arrangement`` checks the rest.
+    Only the radius text is checked here; ``Arrangement`` checks the rest.
     """
     dim = obj["dim"]
-    if not _is_int(dim):
-        raise ValueError("dim must be a positive integer")
     kind = obj["kind"]
     if kind == "central":
         radius = None
@@ -196,16 +201,8 @@ def arrangement_from_json(obj: dict) -> Arrangement:
             radius = Fraction(text)
         except ZeroDivisionError as exc:
             raise ValueError(f"bad radius {text!r}") from exc
-    planes = []
-    for item in obj["hyperplanes"]:
-        normal = tuple(item["normal"])
-        level = item["level"]
-        if not all(_is_int(v) for v in normal):
-            raise ValueError(f"bad normal {normal!r}")
-        if not _is_int(level):
-            raise ValueError(f"bad level {level!r}")
-        planes.append(Hyperplane(normal, level))
-    return Arrangement(dim, radius, tuple(planes))
+    planes = tuple(Hyperplane(tuple(item["normal"]), item["level"]) for item in obj["hyperplanes"])
+    return Arrangement(dim, radius, planes)
 
 
 class TextList:

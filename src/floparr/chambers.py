@@ -131,7 +131,7 @@ def _row_table(arr):
     def signed(a, b, strict):
         return (None, (a, b, strict), (tuple(-v for v in a), -b, strict))
 
-    planes = [(tuple(plane.normal), plane.level) for plane in arr.hyperplanes]
+    planes = arr.hyperplanes
     window = [] if arr.radius is None else box_constraints(arr.dim, arr.radius)
     chamber = ([signed(a, b, True) for a, b in planes], window)
     if arr.radius is None:

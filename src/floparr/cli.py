@@ -174,7 +174,7 @@ def cmd_pi1(args) -> int:
 
 
 def cmd_check(args) -> int:
-    graph = enumerate_chambers(_resolve_arrangement(args))
+    arr = _resolve_arrangement(args)
     try:
         with open(args.rep) as f:
             table = json.load(f)
@@ -187,6 +187,7 @@ def cmd_check(args) -> int:
     points = sorted({x for found in cycles.values() for cycle in found for x in cycle})
     index = {x: i for i, x in enumerate(points)}
     assignment = {k: perm_of_cycles([[index[x] for x in c] for c in found]) for k, found in cycles.items()}
+    graph = enumerate_chambers(arr)
     groups = atom_groups(graph, args.length_cap)
     if args.depth is not None:  # the prover needs every rule before the first relation
         groups = list(groups)

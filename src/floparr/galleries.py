@@ -11,6 +11,10 @@ gets stuck, because the window (all of space for a central arrangement)
 is convex: a generic segment from any other chamber to the target stays
 inside it and leaves through a wall separating the two.
 
+Paths and words are walked by one checked function, ``_visits``: every
+function here or in ``pi1`` that takes a path or a word raises
+NonComposable through it on a broken chain.
+
 Mutation bookkeeping is purely formal.  A label lists one summand
 symbol per wall of its chamber in increasing hyperplane order; crossing
 wall h applies the involution nu_h to the symbol sitting at h, keeps it
@@ -43,17 +47,31 @@ class PositivePath(namedtuple("PositivePath", "source edges")):
         return len(self.edges)
 
 
+def _visits(graph: ChamberGraph, source: int, letters) -> list[int]:
+    """The chambers a chain of signed letters visits, ``source`` first.
+
+    The one checked walk of paths and words: ``(eid, 1)`` crosses edge
+    ``eid`` forward and ``(eid, -1)`` backward.  An edge id outside the
+    graph, a sign other than +-1 or a letter that does not start where the
+    chain is raises NonComposable; a bad source raises UnknownChamber.
+    """
+    at = graph.chamber(source).id
+    out = [at]
+    for eid, sign in letters:
+        if not 0 <= eid < len(graph.edges) or sign not in (1, -1):
+            raise NonComposable(f"no letter ({eid}, {sign}) in this graph")
+        edge = graph.edges[eid]
+        tail, head = (edge.source, edge.target) if sign == 1 else (edge.target, edge.source)
+        if tail != at:
+            raise NonComposable(f"letter ({eid}, {sign}) starts at {tail}, the chain is at {at}")
+        at = head
+        out.append(at)
+    return out
+
+
 def path_target(graph: ChamberGraph, path: PositivePath) -> int:
     """Endpoint of the path; raises NonComposable on a broken edge chain."""
-    at = graph.chamber(path.source).id
-    for eid in path.edges:
-        if not 0 <= eid < len(graph.edges):
-            raise NonComposable(f"no edge {eid} in this graph")
-        edge = graph.edges[eid]
-        if edge.source != at:
-            raise NonComposable(f"edge {eid} starts at {edge.source}, path is at {at}")
-        at = edge.target
-    return at
+    return _visits(graph, path.source, [(eid, 1) for eid in path.edges])[-1]
 
 
 def crossings(graph: ChamberGraph, path: PositivePath) -> tuple[int, ...]:
@@ -73,14 +91,7 @@ def compose(graph: ChamberGraph, first: PositivePath, second: PositivePath) -> P
 
 def path_touches_boundary(graph: ChamberGraph, path: PositivePath) -> bool:
     """True when any visited chamber, endpoints included, is boundary-flagged."""
-    at = path.source
-    if graph.chamber(at).boundary:
-        return True
-    for eid in path.edges:
-        at = graph.edges[eid].target
-        if graph.chamber(at).boundary:
-            return True
-    return False
+    return any(graph.chambers[at].boundary for at in _visits(graph, path.source, [(eid, 1) for eid in path.edges]))
 
 
 def atoms_from(
@@ -177,20 +188,17 @@ def mutation_walk(graph: ChamberGraph, start: MutationLabel, path: PositivePath)
     visited chamber to have the same number of walls (true away from
     window-boundary artifacts).
     """
-    at = path.source
-    current_walls = walls(graph, at)
+    visits = _visits(graph, path.source, [(eid, 1) for eid in path.edges])
+    current_walls = walls(graph, path.source)
     if len(start.symbols) != len(current_walls):
         raise ValueError(
-            f"label has {len(start.symbols)} symbols, chamber {at} has {len(current_walls)} walls"
+            f"label has {len(start.symbols)} symbols, chamber {path.source} has {len(current_walls)} walls"
         )
     attached = dict(zip(current_walls, start.symbols))
     labels = [start]
-    for eid in path.edges:
-        edge = graph.edges[eid]
-        if edge.source != at:
-            raise NonComposable(f"edge {eid} starts at {edge.source}, walk is at {at}")
-        h = edge.hyperplane
-        next_walls = walls(graph, edge.target)
+    for eid, at in zip(path.edges, visits[1:]):
+        h = graph.edges[eid].hyperplane
+        next_walls = walls(graph, at)
         if len(next_walls) != len(current_walls):
             raise ValueError(
                 f"wall count changes from {len(current_walls)} to {len(next_walls)} across edge {eid}"
@@ -200,7 +208,6 @@ def mutation_walk(graph: ChamberGraph, start: MutationLabel, path: PositivePath)
         )
         carried[h] = mutate_symbol(h, attached[h])
         attached = carried
-        at = edge.target
         current_walls = next_walls
         labels.append(MutationLabel(tuple(attached[w] for w in next_walls)))
     return labels

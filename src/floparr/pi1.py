@@ -27,6 +27,7 @@ from .galleries import (
     DEFAULT_ATOM_CAP,
     BoundaryContactWarning,
     PositivePath,
+    _visits,
     atoms_from,
     path_target,
     path_touches_boundary,
@@ -62,21 +63,13 @@ def word_inverse(graph: ChamberGraph, word: GroupoidWord) -> GroupoidWord:
 def word_concat(graph: ChamberGraph, first: GroupoidWord, second: GroupoidWord) -> GroupoidWord:
     if word_end(graph, first) != second.base:
         raise NonComposable("word endpoints do not meet")
+    word_end(graph, second)
     return GroupoidWord(first.base, first.letters + second.letters)
 
 
 def word_end(graph: ChamberGraph, word: GroupoidWord) -> int:
     """Endpoint of the word; raises NonComposable on a broken chain."""
-    at = graph.chamber(word.base).id
-    for eid, sign in word.letters:
-        if not 0 <= eid < len(graph.edges):
-            raise NonComposable(f"no edge {eid} in this graph")
-        edge = graph.edges[eid]
-        tail, head = (edge.source, edge.target) if sign == 1 else (edge.target, edge.source)
-        if tail != at:
-            raise NonComposable(f"letter ({eid}, {sign}) starts at {tail}, word is at {at}")
-        at = head
-    return at
+    return _visits(graph, word.base, word.letters)[-1]
 
 
 def base_chamber(graph: ChamberGraph) -> int:

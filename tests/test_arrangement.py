@@ -81,6 +81,14 @@ X0, X1 = Hyperplane((1,), 0), Hyperplane((1,), 1)
         (1, None, (X1,)),
         (2, None, (Hyperplane((1, 0), 0), Hyperplane((0, 1), 0))),
         (0, None, ()),
+        ("3", None, ()),
+        (True, None, ()),
+        (1, None, (Hyperplane([1], 0),)),
+        (1, None, (Hyperplane((True,), 0),)),
+        (1, Fraction(3), (Hyperplane((1,), True),)),
+        (2, 1.5, (Hyperplane((0, 1), 0),)),
+        (1, "3/2", (X0,)),
+        (1, True, (X0,)),
     ],
     ids=[
         "short normal",
@@ -92,12 +100,23 @@ X0, X1 = Hyperplane((1,), 0), Hyperplane((1,), 1)
         "central level 1",
         "out of order",
         "dim 0",
+        "str dim",
+        "bool dim",
+        "list normal",
+        "bool normal entry",
+        "bool level",
+        "float radius",
+        "str radius",
+        "bool radius",
     ],
 )
 def test_arrangement_checks_its_contract(dim, radius, planes):
     # the rules --in enforces hold for a direct Arrangement too; unchecked,
     # a short normal raises a bare IndexError in enumeration, and an empty
-    # window or x = 0 with 2x = 0 enumerates 1 chamber (Zaslavsky gives 2)
+    # window or x = 0 with 2x = 0 enumerates 1 chamber (Zaslavsky gives 2).
+    # Types are checked first: a str dim raised TypeError at the rank cap,
+    # a list normal and a float radius failed inside enumeration, and a
+    # bool normal entry was emitted as JSON true, which --in rejects
     with pytest.raises(ValueError):
         Arrangement(dim, radius, planes)
 
@@ -159,6 +178,14 @@ def test_affine_rejects_nonpositive_radius():
         build_affine(data, Fraction(0))
     with pytest.raises(ValueError):
         build_affine(data, Fraction(-1))
+
+
+def test_affine_takes_an_exact_radius():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    data = parse_data("A1:J={}")
+    for radius in (0.1, "3/2"):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            build_affine(data, radius)
 
 
 def test_affine_translate_cap():

@@ -220,6 +220,16 @@ def test_check_negative_depth(tmp_path):
     assert "depth must be at least 0" in proc.stderr
 
 
+def test_check_reads_rep_before_enumerating(tmp_path):
+    # a window of 10000 exceeds Buck's bound, which used to exit 4 before
+    # the table was read; a bad table now fails first, whatever the size
+    missing = str(tmp_path / "missing.json")
+    proc = run("check", "A2:J={}", "--window", "10000", "--rep", missing)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"cannot load representation from {missing}" in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["check", "pi1"])
 def test_negative_length_cap_rejected(tmp_path, command):
     # a negative cap used to select no relations, so check passed any table

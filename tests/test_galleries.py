@@ -224,6 +224,19 @@ def test_mutation_walk_rejects_broken_chain():
         mutation_walk(g, initial_label(g, 0), PositivePath(0, (eid,)))
 
 
+@pytest.mark.parametrize("edges", [(-1,), (3,), (99,)], ids=["edge -1", "broken chain", "edge 99"])
+def test_bad_path_rejected(edges):
+    # A1 in a 5/2 window: edge 3 runs 1 -> 0.  path_touches_boundary read
+    # False for edge -1 (an index from the end) and for the broken chain,
+    # and both functions raised IndexError for edge 99
+    g = affine_graph("A1:J={}", Fraction(5, 2))
+    path = PositivePath(0, edges)
+    with pytest.raises(NonComposable):
+        path_touches_boundary(g, path)
+    with pytest.raises(NonComposable):
+        mutation_walk(g, initial_label(g, 0), path)
+
+
 def test_path_json_round_trip():
     g = central_graph("A2:J={}")
     p = atoms(g, 0, _antipode(g, 0))[0]

@@ -70,6 +70,25 @@ def test_word_algebra():
     assert len(both.letters) == 6
 
 
+@pytest.mark.parametrize("base, letter", [(0, (4, 7)), (2, (1, 0))], ids=["sign 7", "sign 0"])
+def test_letters_with_a_bad_sign_are_rejected(base, letter):
+    # A1 in a 5/2 window: edge 4 runs 2 -> 0 and edge 1 runs 0 -> 2, so
+    # read backwards each letter starts at its base; (4, 7) counted as
+    # 7 crossings of one hyperplane
+    g = affine_graph("A1:J={}", Fraction(5, 2))
+    word = GroupoidWord(base, (letter,))
+    with pytest.raises(NonComposable):
+        word_end(g, word)
+    with pytest.raises(NonComposable):
+        crossing_homomorphism(g, word)
+
+
+def test_word_concat_checks_the_second_word():
+    g = affine_graph("A1:J={}", Fraction(5, 2))
+    with pytest.raises(NonComposable):
+        word_concat(g, GroupoidWord(0, ((0, 1),)), GroupoidWord(1, ((99, 1),)))
+
+
 def test_single_line_generators():
     # base chamber has one wall, one atom to each chamber
     g = central_graph("A1:J={}")

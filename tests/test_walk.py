@@ -6,6 +6,10 @@ are the earlier code: a separate targeted search per chamber pair, and
 nested loops over all pairs filtered by their separating sets.  On random
 small integer arrangements, central and windowed, both must give the same
 lists in the same order.
+
+Every function that takes a path or a word checks it with one walk; on
+random letter chains, valid and broken, each must end where a lookup in
+a table of moves ends, or raise NonComposable.
 """
 
 import sys
@@ -19,7 +23,9 @@ from hypothesis import strategies as st
 from floparr import (
     Arrangement,
     BoundaryContactWarning,
+    GroupoidWord,
     Hyperplane,
+    NonComposable,
     Overflow,
     Pi1Generator,
     PositivePath,
@@ -28,12 +34,22 @@ from floparr import (
     atoms,
     atoms_from,
     base_chamber,
+    compose,
+    crossing_homomorphism,
+    crossings,
     enumerate_chambers,
     generators,
+    initial_label,
+    is_reduced,
     loop_word,
+    mutation_walk,
+    path_target,
     path_touches_boundary,
     separating_set,
     walls,
+    word_concat,
+    word_end,
+    word_inverse,
 )
 from floparr.arrangement import _primitive
 from floparr.chambers import Chamber, ChamberGraph, Edge
@@ -168,6 +184,108 @@ def test_atom_overflow_names_the_target(arr):
         assert len(_quiet(atoms, g, 0, t.id, count)) == count
         with pytest.raises(Overflow, match=f"more than {count - 1} atoms from 0 to {t.id}$"):
             _quiet(atoms, g, 0, t.id, count - 1)
+
+
+def reference_visits(graph, source, letters):
+    # a lookup per letter in the table of every move the graph allows:
+    # (chamber, (edge id, sign)) -> the chamber it leads to; None for a
+    # chain with a letter the table lacks
+    moves = {}
+    for e in graph.edges:
+        moves[e.source, (e.id, 1)] = e.target
+        moves[e.target, (e.id, -1)] = e.source
+    visits = [source]
+    for letter in letters:
+        if (visits[-1], letter) not in moves:
+            return None
+        visits.append(moves[visits[-1], letter])
+    return visits
+
+
+@st.composite
+def chains(draw):
+    """A graph, a start chamber and one to six letters.  Each letter is a
+    move the graph allows from where the chain is, except that a broken
+    chain has one random letter: an edge id from -2 to two past the last,
+    and a sign of 1, -1, 0 or 2.  A positive chain has sign 1 throughout."""
+    g = enumerate_chambers(draw(arrangements()))
+    source = draw(st.integers(0, len(g.chambers) - 1))
+    signs = (1,) if draw(st.booleans()) else (1, -1, 0, 2)
+    length = draw(st.integers(1, 6))
+    broken = draw(st.none() | st.integers(0, length - 1))
+    letters = []
+    at = source
+    for i in range(length):
+        here = [(e.id, 1) for e in g.edges if e.source == at]
+        here += [(e.id, -1) for e in g.edges if e.target == at and -1 in signs]
+        if here and i != broken:
+            letter = draw(st.sampled_from(here))
+        else:
+            letter = (draw(st.integers(-2, len(g.edges) + 1)), draw(st.sampled_from(signs)))
+        letters.append(letter)
+        at = (reference_visits(g, source, letters) or [None])[-1]
+    return g, source, tuple(letters)
+
+
+def _each_walk(g, source, letters):
+    # every walking function on the chain, as (name, result or the error
+    # raised); mutation_walk raises ValueError where the wall count changes
+    word = GroupoidWord(source, letters)
+    calls = {
+        "word_end": lambda: word_end(g, word),
+        "crossing_homomorphism": lambda: crossing_homomorphism(g, word),
+        "word_inverse": lambda: word_inverse(g, word),
+        "word_concat first": lambda: word_concat(g, word, GroupoidWord(word_end(g, word), ())),
+        "word_concat second": lambda: word_concat(g, GroupoidWord(source, ()), word),
+    }
+    if all(s == 1 for _, s in letters):
+        path = PositivePath(source, tuple(eid for eid, _ in letters))
+        calls.update({
+            "path_target": lambda: path_target(g, path),
+            "path_touches_boundary": lambda: path_touches_boundary(g, path),
+            "crossings": lambda: crossings(g, path),
+            "is_reduced": lambda: is_reduced(g, path),
+            "compose": lambda: compose(g, PositivePath(source, ()), path),
+            "mutation_walk": lambda: mutation_walk(g, initial_label(g, source), path),
+        })
+    for name, call in calls.items():
+        try:
+            yield name, call()
+        except (NonComposable, ValueError) as exc:
+            yield name, exc
+
+
+@settings(PROPERTY, max_examples=200)
+@given(chains())
+def test_walks_match_a_table_of_moves(chain):
+    g, source, letters = chain
+    visits = reference_visits(g, source, letters)
+    results = dict(_each_walk(g, source, letters))
+    if visits is None:
+        assert all(isinstance(got, NonComposable) for got in results.values()), results
+        return
+    end = visits[-1]
+    hyperplanes = [g.edges[eid].hyperplane for eid, _ in letters]
+    counts = [0] * len(g.arrangement.hyperplanes)
+    for h, (_, s) in zip(hyperplanes, letters):
+        counts[h] += s
+    assert results.pop("word_end") == end
+    assert results.pop("crossing_homomorphism") == tuple(counts)
+    assert word_end(g, results.pop("word_inverse")) == source
+    assert results.pop("word_concat first").letters == letters
+    assert results.pop("word_concat second").letters == letters
+    if "path_target" in results:
+        assert results.pop("path_target") == end
+        assert results.pop("path_touches_boundary") == any(g.chambers[c].boundary for c in visits)
+        assert results.pop("crossings") == tuple(hyperplanes)
+        assert results.pop("is_reduced") == (len(set(hyperplanes)) == len(hyperplanes))
+        assert results.pop("compose").edges == tuple(eid for eid, _ in letters)
+        labels = results.pop("mutation_walk")
+        if len({len(walls(g, c)) for c in visits}) == 1:
+            assert len(labels) == len(visits)
+        else:
+            assert isinstance(labels, ValueError)
+    assert results == {}
 
 
 def test_disconnected_graph_is_unreachable():
