@@ -43,7 +43,7 @@ print()
 print("Wall crossings map to transpositions of three letters; the relation"
       " table must hold:")
 cycles = {0: "(0 1)", 1: "(1 2)", 2: "(0 2)"}
-table = {e.id: parse_perm(cycles[e.hyperplane]).extend(3) for e in g.edges}
+table = {e.id: parse_perm(cycles[e.hyperplane]) for e in g.edges}
 report = check_representation(g, table, groups)
 print(f"  {report.checked} relations checked, ok={report.ok}")
 

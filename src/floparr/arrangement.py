@@ -50,10 +50,11 @@ class Arrangement(namedtuple("Arrangement", "dim radius hyperplanes")):
     ``radius`` is None for central arrangements and the half-width of
     the open box window otherwise.  Every arrangement, built or loaded,
     meets one contract, and a broken rule raises ValueError: ``dim``,
-    every normal entry and every level an int, not a bool; tuple normals;
-    ``dim >= 1``; a positive int or Fraction radius; ``dim`` entries per
-    normal; each ``(normal, level)`` primitive and oriented; level 0
-    throughout when central; and strictly increasing hyperplanes, each once.
+    every normal entry and every level an int, not a bool; a tuple of
+    Hyperplanes with tuple normals; ``dim >= 1``; a positive int or
+    Fraction radius; ``dim`` entries per normal; each ``(normal, level)``
+    primitive and oriented; level 0 throughout when central; and strictly
+    increasing hyperplanes, each once.
     """
 
     __slots__ = ()
@@ -69,6 +70,8 @@ class Arrangement(namedtuple("Arrangement", "dim radius hyperplanes")):
             raise ValueError("dim must be a positive integer")
         if radius is not None and radius <= 0:
             raise ValueError(f"window radius must be positive, got {radius}")
+        if not (type(hyperplanes) is tuple and all(isinstance(h, Hyperplane) for h in hyperplanes)):
+            raise ValueError(f"hyperplanes must be a tuple of Hyperplanes, got {hyperplanes!r}")
         for h in hyperplanes:
             if not (isinstance(h.normal, tuple) and all(map(_is_int, h.normal)) and _is_int(h.level)):
                 raise ValueError(f"a hyperplane needs a tuple of ints and an int, got {h.normal!r} and {h.level!r}")

@@ -51,13 +51,17 @@ def _visits(graph: ChamberGraph, source: int, letters) -> list[int]:
     """The chambers a chain of signed letters visits, ``source`` first.
 
     The one checked walk of paths and words: ``(eid, 1)`` crosses edge
-    ``eid`` forward and ``(eid, -1)`` backward.  An edge id outside the
-    graph, a sign other than +-1 or a letter that does not start where the
-    chain is raises NonComposable; a bad source raises UnknownChamber.
+    ``eid`` forward and ``(eid, -1)`` backward.  A letter that is not a
+    pair of ints (bools excluded), an edge id outside the graph, a sign
+    other than +-1 or a letter that does not start where the chain is
+    raises NonComposable; a bad source raises UnknownChamber.
     """
     at = graph.chamber(source).id
     out = [at]
-    for eid, sign in letters:
+    for letter in letters:
+        if not (type(letter) is tuple and len(letter) == 2 and type(letter[0]) is type(letter[1]) is int):
+            raise NonComposable(f"a letter is a pair of ints, got {letter!r}")
+        eid, sign = letter
         if not 0 <= eid < len(graph.edges) or sign not in (1, -1):
             raise NonComposable(f"no letter ({eid}, {sign}) in this graph")
         edge = graph.edges[eid]

@@ -1,72 +1,43 @@
 """Permutations of {0, ..., n-1} with one-line cycle notation.
 
 Just enough group theory for representation checks: composition,
-inverse, identity, and parsing of strings like "(0 1)(2 4)" or "()".
+inverse, and parsing of strings like "(0 1)(2 4)" or "()".  Each
+permutation has one form: its images with trailing fixed points dropped.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-class Perm:
+class Perm(namedtuple("Perm", "images")):
     """A permutation stored by its tuple of images.
 
-    Points past the end of ``images`` are fixed, so equality and hashing
-    ignore trailing fixed points: ``Perm((1, 0)) == Perm((1, 0, 2))``.
-    A Perm is immutable: assigning to ``images`` raises AttributeError.
+    Points past the end of ``images`` are fixed, and ``images`` never ends
+    in a fixed point, so equal permutations are equal records:
+    ``Perm((1, 0, 2)).images == (1, 0)``, and ``Perm(())`` fixes every point.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images: tuple[int, ...]):
+    def __new__(cls, images: tuple[int, ...]):
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation: {images!r}")
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable Perm")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable Perm")
-
-    def __repr__(self) -> str:
-        return f"Perm(images={self.images!r})"
-
-    @staticmethod
-    def identity(degree: int) -> Perm:
-        return Perm(tuple(range(degree)))
-
-    def extend(self, degree: int) -> Perm:
-        """The same permutation acting on a larger set."""
-        if degree <= len(self.images):
-            return self
-        return Perm(self.images + tuple(range(len(self.images), degree)))
-
-    def _trimmed(self) -> tuple[int, ...]:
-        """``images`` without its trailing fixed points."""
-        n = len(self.images)
-        while n and self.images[n - 1] == n - 1:
+        n = len(images)
+        while n and images[n - 1] == n - 1:
             n -= 1
-        return self.images[:n]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Perm):
-            return NotImplemented
-        return self._trimmed() == other._trimmed()
-
-    def __hash__(self) -> int:
-        return hash(self._trimmed())
+        return super().__new__(cls, images[:n])
 
     def __call__(self, x: int) -> int:
         return self.images[x] if x < len(self.images) else x
 
     def __mul__(self, other: Perm) -> Perm:
-        """Composition, other applied first."""
-        degree = max(len(self.images), len(other.images))
-        return Perm(tuple(self(other(x)) for x in range(degree)))
+        """Composition, other applied first; not tuple repetition."""
+        n = max(len(self.images), len(other.images))
+        return Perm(tuple(self(other(x)) for x in range(n)))
 
     def inverse(self) -> Perm:
         out = [0] * len(self.images)
@@ -109,11 +80,9 @@ def parse_cycles(text: str) -> list[list[int]]:
     return cycles
 
 
-def perm_of_cycles(cycles, degree: int | None = None) -> Perm:
+def perm_of_cycles(cycles) -> Perm:
     """The permutation moving each cycle's points one step along it."""
     n = max((max(cycle) + 1 for cycle in cycles if cycle), default=0)
-    if degree is not None:
-        n = max(n, degree)
     images = list(range(n))
     for cycle in cycles:
         for i, v in enumerate(cycle):
@@ -121,6 +90,6 @@ def perm_of_cycles(cycles, degree: int | None = None) -> Perm:
     return Perm(tuple(images))
 
 
-def parse_perm(text: str, degree: int | None = None) -> Perm:
+def parse_perm(text: str) -> Perm:
     """Parse disjoint cycle notation; symbols are nonnegative integers."""
-    return perm_of_cycles(parse_cycles(text), degree)
+    return perm_of_cycles(parse_cycles(text))

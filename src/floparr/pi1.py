@@ -158,7 +158,8 @@ def check_representation(graph: ChamberGraph, assignment, groups) -> CheckReport
 
     ``groups`` is read once, and its pairs ``combinations(group, 2)``
     are the relations, in order.  ``assignment`` maps every directed
-    edge id to a group element (for example a Perm); elements need only
+    edge id, and no other key, to a group element (for example a Perm);
+    a missing or extra id raises MissingEdgeAssignment.  Elements need only
     ``*`` and ``!=``, not hashing.  An atom ``e_1 ... e_k`` folds to
     ``a[e_k] * fold(e_1 ... e_{k-1})``, later edges acting last.  Every
     prefix of an atom is an atom, so with folds memoised by edge tuple
@@ -166,9 +167,13 @@ def check_representation(graph: ChamberGraph, assignment, groups) -> CheckReport
     its source, so the memo is cleared when the source changes.
     Returns the indices of the relations whose two sides disagree.
     """
-    for edge in graph.edges:
-        if edge.id not in assignment:
-            raise MissingEdgeAssignment(f"edge {edge.id} has no assigned element")
+    ids = range(len(graph.edges))
+    for eid in ids:
+        if eid not in assignment:
+            raise MissingEdgeAssignment(f"edge {eid} has no assigned element")
+    for eid in assignment:
+        if eid not in ids:
+            raise MissingEdgeAssignment(f"no edge {eid!r} in this graph")
     folded = {}
 
     def fold(edges):

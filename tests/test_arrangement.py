@@ -89,6 +89,8 @@ X0, X1 = Hyperplane((1,), 0), Hyperplane((1,), 1)
         (2, 1.5, (Hyperplane((0, 1), 0),)),
         (1, "3/2", (X0,)),
         (1, True, (X0,)),
+        (1, None, (((1,), 0),)),
+        (1, None, [X0]),
     ],
     ids=[
         "short normal",
@@ -108,6 +110,8 @@ X0, X1 = Hyperplane((1,), 0), Hyperplane((1,), 1)
         "float radius",
         "str radius",
         "bool radius",
+        "plain pair",
+        "list of hyperplanes",
     ],
 )
 def test_arrangement_checks_its_contract(dim, radius, planes):
@@ -116,7 +120,8 @@ def test_arrangement_checks_its_contract(dim, radius, planes):
     # window or x = 0 with 2x = 0 enumerates 1 chamber (Zaslavsky gives 2).
     # Types are checked first: a str dim raised TypeError at the rank cap,
     # a list normal and a float radius failed inside enumeration, and a
-    # bool normal entry was emitted as JSON true, which --in rejects
+    # bool normal entry was emitted as JSON true, which --in rejects.
+    # A plain pair raised AttributeError, and a list built but did not hash
     with pytest.raises(ValueError):
         Arrangement(dim, radius, planes)
 

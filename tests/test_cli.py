@@ -447,6 +447,17 @@ def test_exit_code_failed_precondition(tmp_path):
     assert "edge 0" in proc.stderr
 
 
+def test_check_refuses_extra_edge_ids(tmp_path):
+    # a table naming edges the graph lacks exited 0 with "ok": true
+    rep = tmp_path / "rep.json"
+    _a3_rep(tmp_path)
+    rep.write_text(json.dumps({**json.loads(rep.read_text()), "999": "()", "-5": "()"}))
+    proc = run("check", "A3:J={}", "--rep", str(rep))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "no edge 999" in proc.stderr
+
+
 EXIT_CODES = {
     errors.FloparrError: 1,
     errors.ParseFailure: 2,

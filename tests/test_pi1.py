@@ -44,7 +44,7 @@ def _s3_assignment(g):
     # send the wall crossings of the three lines to the transpositions
     # of S3 acting on three letters
     perms = {0: parse_perm("(0 1)"), 1: parse_perm("(1 2)"), 2: parse_perm("(0 2)")}
-    return {e.id: perms[e.hyperplane].extend(3) for e in g.edges}
+    return {e.id: perms[e.hyperplane] for e in g.edges}
 
 
 def _pairs(g, length_cap=None):
@@ -81,6 +81,19 @@ def test_letters_with_a_bad_sign_are_rejected(base, letter):
         word_end(g, word)
     with pytest.raises(NonComposable):
         crossing_homomorphism(g, word)
+
+
+@pytest.mark.parametrize(
+    "eid, letter",
+    [(1, (True, 1)), (0, (0, True)), (0, ("0", 1)), (0, (1.0, 1)), (0, (0, 1, 2))],
+    ids=["bool edge", "bool sign", "str edge", "float edge", "three items"],
+)
+def test_letters_must_be_pairs_of_ints(eid, letter):
+    # from the start of edge eid, (True, 1) walked edge 1 and (0, True)
+    # read as sign +1; the others raised a bare TypeError or ValueError
+    g = affine_graph("A1:J={}", Fraction(5, 2))
+    with pytest.raises(NonComposable):
+        word_end(g, GroupoidWord(g.edges[eid].source, (letter,)))
 
 
 def test_word_concat_checks_the_second_word():
@@ -208,20 +221,26 @@ def test_corrupted_representation_fails():
 
 
 def test_check_ignores_permutation_degree():
-    # regression: identity(3) on one edge used to compare unequal to the
-    # identity(2) elsewhere and report failures (0, 2, 4)
+    # regression: the identity as (0, 1, 2) on one edge used to compare
+    # unequal to (0, 1) elsewhere and report failures (0, 2, 4)
     g = central_graph("A2:J={}")
-    assignment = {e.id: Perm.identity(2) for e in g.edges}
-    assignment[0] = Perm.identity(3)
+    assert Perm((0, 1, 2)) == Perm((0, 1)) == Perm(())
+    assignment = {e.id: Perm((0, 1)) for e in g.edges}
+    assignment[0] = Perm((0, 1, 2))
     assert check_representation(g, assignment, atom_groups(g)).failures == ()
 
 
 def test_perm_equality_ignores_trailing_fixed_points():
-    assert Perm.identity(2) == Perm.identity(3) == Perm(())
-    assert parse_perm("(0 1)") == parse_perm("(0 1)", degree=4)
+    assert Perm((0, 1)) == Perm((0, 1, 2)) == Perm(())
     assert parse_perm("(0 1)") != parse_perm("(1 2)")
-    assert hash(parse_perm("(0 1)")) == hash(parse_perm("(0 1)").extend(5))
-    assert len({Perm.identity(n) for n in range(4)}) == 1
+    assert len({Perm(tuple(range(n))) for n in range(4)}) == 1
+
+
+def test_perm_images_drop_trailing_fixed_points():
+    # one form per permutation, so equal permutations are equal tuples
+    assert Perm((1, 0, 2)).images == (1, 0)
+    assert (parse_perm("(0 1)") * parse_perm("(0 1)")).images == ()
+    assert parse_perm("(3)").images == ()
 
 
 def test_missing_edge_assignment():
@@ -229,6 +248,16 @@ def test_missing_edge_assignment():
     assignment = _s3_assignment(g)
     del assignment[3]
     with pytest.raises(MissingEdgeAssignment):
+        check_representation(g, assignment, atom_groups(g))
+
+
+def test_extra_edge_assignment():
+    # a table for another graph used to pass whenever it also covered
+    # every edge of this one
+    g = central_graph("A2:J={}")
+    assignment = _s3_assignment(g)
+    assignment[999] = assignment[-5] = Perm(())
+    with pytest.raises(MissingEdgeAssignment, match="no edge 999 in this graph"):
         check_representation(g, assignment, atom_groups(g))
 
 
@@ -348,7 +377,7 @@ def test_check_folds_each_atom_once_without_hashing():
 
 def test_missing_edge_raised_before_any_fold():
     g = central_graph("A3:J={}")
-    wrapped = {e.id: _Unhashable(Perm.identity(2)) for e in g.edges}
+    wrapped = {e.id: _Unhashable(Perm(())) for e in g.edges}
     del wrapped[g.edges[-1].id]
     _Unhashable.products = 0
     with pytest.raises(MissingEdgeAssignment):
@@ -479,14 +508,13 @@ def test_perm_parse_and_compose():
     # other-first composition: (a * b) applies b, then a
     assert (a * b).images == parse_perm("(0 1 2)").images
     assert str(parse_perm("(0 1 2)")) == "(0 1 2)"
-    assert str(Perm.identity(3)) == "()"
+    assert str(Perm((0, 1, 2))) == "()"
     assert parse_perm("()").images == ()
 
 
-def test_perm_inverse_and_extend():
+def test_perm_inverse():
     p = parse_perm("(0 2 1)")
-    assert (p * p.inverse()).images == Perm.identity(3).images
-    assert p.extend(5).images == (2, 0, 1, 3, 4)
+    assert (p * p.inverse()).images == ()
 
 
 def test_perm_rejects_garbage():
