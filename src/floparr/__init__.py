@@ -48,6 +48,7 @@ from .galleries import (
     BoundaryContactWarning,
     MutationLabel,
     PositivePath,
+    atom_counts,
     atoms,
     atoms_from,
     compose,
@@ -75,6 +76,7 @@ from .pi1 import (
     equal_in_groupoid,
     generators,
     loop_word,
+    relation_count,
     rewrite_rules,
     word_concat,
     word_end,

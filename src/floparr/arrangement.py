@@ -209,14 +209,16 @@ def arrangement_from_json(obj: dict) -> Arrangement:
 
 
 class TextList:
-    """A JSON list whose items arrive as text pieces while ``dumps`` emits it.
+    """A JSON list whose items arrive as text while ``dumps`` emits it.
 
-    ``items(nl)`` yields one tuple of strings per item: the item's text,
-    for an item that starts on a line indented as ``nl``, in pieces that
-    ``dumps`` buffers as they are.  Entries that share rendered parts
-    (each ``pi1`` relation pairs two atoms of a group) are spliced from
-    those parts, and no value is built per entry.  Each ``dumps`` calls
-    ``items`` anew.
+    ``items(nl)`` yields strings, each the text of one or more consecutive
+    items for a list whose items start on lines indented as ``nl``, the
+    items within one string separated by ``"," + nl``.  Entries that
+    share rendered parts (each ``pi1`` relation pairs two atoms of a
+    group) are spliced from those parts, and no value is built per entry.
+    Each ``dumps`` calls ``items`` anew, and nothing checks the text, so
+    an error must come before the first item: ``pi1`` counts its
+    relations before it lists them.
     """
 
     __slots__ = ("items",)
@@ -225,11 +227,12 @@ class TextList:
         self.items = items
 
 
-# buffered pieces per write while streaming.  A piece can be a whole
-# rendered atom of a few hundred bytes (``TextList`` items), so the bound
-# is kept small enough that a chunk stays at tens to a few hundred KB;
-# a chunk of several MB, not the math, would set the CLI's peak RSS.
+# buffered pieces per write while streaming, each a scalar, a key, a
+# separator or an all-int list
 _FLUSH = 1 << 10
+# buffered characters per write inside a TextList, whose yielded texts
+# can each hold many entries of a few hundred bytes
+_FLUSH_CHARS = 1 << 16
 
 
 def _encode(value, nl, buf, write):
@@ -283,13 +286,15 @@ def _encode(value, nl, buf, write):
     elif isinstance(value, TextList):
         inner = nl + "  "
         sep = "[" + inner
-        for pieces in value.items(inner):
-            buf.append(sep)
-            buf.extend(pieces)
+        size = 0
+        for text in value.items(inner):
+            buf += sep, text
             sep = "," + inner
-            if len(buf) > _FLUSH:
+            size += len(text)
+            if size > _FLUSH_CHARS:
                 write("".join(buf))
                 buf.clear()
+                size = 0
         buf.append("[]" if sep[0] == "[" else nl + "]")
     else:
         raise TypeError(f"cannot emit {type(value).__name__} as JSON")
@@ -302,11 +307,10 @@ def dumps(obj, write=None):
     ``TextList`` items, and raises TypeError on anything else.  Without
     ``write`` it returns the text.  With it, the text goes to ``write`` in
     chunks and is never built whole, so a report of any length streams in
-    bounded memory.  A chunk holds about ``_FLUSH`` pieces at most, each a
-    scalar, a key, a separator, an all-int list or one piece of a
-    ``TextList`` item (for ``pi1``, a whole rendered atom), so its size is
-    about ``_FLUSH`` times the largest piece.  (``json.dumps`` with an
-    indent runs CPython's pure-Python encoder, several times slower.)
+    bounded memory.  A chunk holds about ``_FLUSH`` pieces, each a scalar,
+    a key, a separator or an all-int list, or about ``_FLUSH_CHARS``
+    characters of ``TextList`` text plus one yielded text.  (``json.dumps``
+    with an indent runs CPython's pure-Python encoder, several times slower.)
     """
     chunks = None
     if write is None:
@@ -317,3 +321,12 @@ def dumps(obj, write=None):
     buf.append("\n")
     write("".join(buf))
     return None if chunks is None else "".join(chunks)
+
+
+def path_text(source: int, edges, nl: str) -> str:
+    """The text of the path ``{"source": source, "edges": list(edges)}`` for
+    a place indented as ``nl``: its ``dumps``, less the final newline, with
+    ``nl`` for each line break.  ``pi1`` splices its atoms from these."""
+    inner = nl + "  "
+    listed = "[" + inner + "  " + ("," + inner + "  ").join(map(str, edges)) + inner + "]" if edges else "[]"
+    return "{" + inner + '"source": ' + str(source) + "," + inner + '"edges": ' + listed + nl + "}"

@@ -31,7 +31,6 @@ import sys
 import warnings
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from .arrangement import (
     TextList,
@@ -40,6 +39,7 @@ from .arrangement import (
     build_affine,
     build_finite,
     dumps,
+    path_text,
 )
 from .chambers import enumerate_chambers, graph_to_json
 from .dynkin import DynkinData, DynkinType, parse_data
@@ -53,6 +53,7 @@ from .pi1 import (
     crossing_homomorphism,
     equal_in_groupoid,
     generators,
+    relation_count,
     rewrite_rules,
     word_of_path,
     word_to_json,
@@ -85,7 +86,9 @@ def _resolve_arrangement(args):
 def _emit(args, report) -> None:
     """Stream a report, canonical JSON or SVG text, to --out or stdout.
 
-    Callers build the whole report first, so a failure leaves no output.
+    Callers raise every error first, so a failure leaves no output: each
+    report is built whole, except the relations of ``pi1``, which are
+    listed as they are written once their count has passed its cap.
     """
 
     def send(write):
@@ -141,23 +144,25 @@ def cmd_atoms(args) -> int:
 
 def cmd_pi1(args) -> int:
     graph = enumerate_chambers(_resolve_arrangement(args))
+    count = relation_count(graph, args.length_cap)  # once it passes, listing cannot raise
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryContactWarning)
         gens = generators(graph, max_atoms_per_chamber=args.cap)
-    # every atom is walked and rendered here, before the first byte; the
-    # entries {"p": ..., "q": ...} are spliced from these texts as they stream
-    groups = [[dumps(path_to_json(path))[:-1] for path in group] for group in atom_groups(graph, args.length_cap)]
 
     def relations(nl):
+        # one source's atoms at a time, each rendered once; the entries
+        # {"p": ..., "q": ...} pairing an atom with every later atom of its
+        # group come as one text
         inner = nl + "  "
         head, mid, tail = "{" + inner + '"p": ', "," + inner + '"q": ', nl + "}"
-        for group in groups:
-            for p, q in combinations([atom.replace("\n", inner) for atom in group], 2):
-                yield head, p, mid, q, tail
+        for group in atom_groups(graph, args.length_cap):
+            texts = [path_text(path.source, path.edges, inner) for path in group]
+            for i, p in enumerate(texts[:-1], 1):
+                yield head + p + mid + (tail + "," + nl + head + p + mid).join(texts[i:]) + tail
 
     report = {
         "generator_count": len(gens),
-        "relation_count": sum(comb(len(group), 2) for group in groups),
+        "relation_count": count,
         "generators": [
             {
                 "atom": path_to_json(g.atom),
@@ -173,11 +178,24 @@ def cmd_pi1(args) -> int:
     return 0
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its key-value pairs; a repeated key is a ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice")
+        obj[key] = value
+    return obj
+
+
 def cmd_check(args) -> int:
     arr = _resolve_arrangement(args)
     try:
         with open(args.rep) as f:
-            table = json.load(f)
+            table = json.load(f, object_pairs_hook=_unique_keys)
+        for k in table:
+            if str(int(k)) != k:  # "00", " 0" and "+0" would all name edge 0
+                raise ValueError(f"edge id {k!r} is not a canonical decimal")
         cycles = {int(k): parse_cycles(v) for k, v in table.items()}
     except (OSError, ValueError, TypeError, AttributeError) as exc:
         raise ParseFailure(f"cannot load representation from {args.rep}: {exc}") from exc
@@ -188,6 +206,7 @@ def cmd_check(args) -> int:
     index = {x: i for i, x in enumerate(points)}
     assignment = {k: perm_of_cycles([[index[x] for x in c] for c in found]) for k, found in cycles.items()}
     graph = enumerate_chambers(arr)
+    relation_count(graph, args.length_cap)  # Overflow comes before the first fold
     groups = atom_groups(graph, args.length_cap)
     if args.depth is not None:  # the prover needs every rule before the first relation
         groups = list(groups)

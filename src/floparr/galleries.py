@@ -110,6 +110,33 @@ def atoms_from(
     return _walk(graph, source, tuple(-s for s in graph.chamber(source).signs), length_cap, cap)
 
 
+def atom_counts(graph: ChamberGraph, source: int, length_cap: int | None = None) -> dict[int, int]:
+    """How many atoms ``atoms_from`` lists at each end chamber, without listing them.
+
+    The same recursion as its walk: each step crosses a hyperplane that
+    still has the source's sign, so it moves one hyperplane further from
+    the source, and the chambers k steps out form one layer.  A chamber's
+    count is the sum of the counts of the chambers one such edge before it.
+    """
+    signs = graph.chamber(source).signs
+    counts = {}
+    layer = {source: 1}
+    depth = 0
+    while layer:
+        counts.update(layer)
+        if depth == length_cap:
+            break
+        after = {}
+        for at, n in layer.items():
+            here = graph.chambers[at].signs
+            for e in graph.out_edges(at):
+                if here[e.hyperplane] == signs[e.hyperplane]:
+                    after[e.target] = after.get(e.target, 0) + n
+        layer = after
+        depth += 1
+    return counts
+
+
 def _walk(graph, source, goal, length_cap, cap):
     # the walk of atoms_from, crossing only hyperplanes where the current
     # signs differ from goal; an explicit stack, since atoms can be longer

@@ -19,17 +19,25 @@ class Perm(namedtuple("Perm", "images")):
     Points past the end of ``images`` are fixed, and ``images`` never ends
     in a fixed point, so equal permutations are equal records:
     ``Perm((1, 0, 2)).images == (1, 0)``, and ``Perm(())`` fixes every point.
+    ``images`` is a tuple of ints, not bools; ``_make`` and ``_replace``
+    check it too.
     """
 
     __slots__ = ()
 
     def __new__(cls, images: tuple[int, ...]):
+        if not (type(images) is tuple and all(type(v) is int for v in images)):
+            raise ValueError(f"images must be a tuple of ints, got {images!r}")
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation: {images!r}")
         n = len(images)
         while n and images[n - 1] == n - 1:
             n -= 1
         return super().__new__(cls, images[:n])
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __call__(self, x: int) -> int:
         return self.images[x] if x < len(self.images) else x

@@ -20,18 +20,24 @@ from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 from itertools import chain, combinations
+from math import comb
 
 from .chambers import ChamberGraph, walls
-from .errors import BaseMismatch, MissingEdgeAssignment, NonComposable, Unreachable
+from .errors import BaseMismatch, MissingEdgeAssignment, NonComposable, Overflow, Unreachable
 from .galleries import (
     DEFAULT_ATOM_CAP,
     BoundaryContactWarning,
     PositivePath,
     _visits,
+    atom_counts,
     atoms_from,
     path_target,
     path_touches_boundary,
 )
+
+# far above every listing the tests, demos and benchmark make (131,268
+# relations for E6:J={0,1,2}); A4:J={} would list 47,854,200
+MAX_RELATIONS = 10**7
 
 
 class GroupoidWord(namedtuple("GroupoidWord", "base letters")):
@@ -132,6 +138,25 @@ def atom_groups(graph: ChamberGraph, length_cap: int | None = None) -> Iterator[
     for source in graph.chambers:
         walk = atoms_from(graph, source.id, length_cap)
         yield from (walk[target] for target in sorted(walk) if len(walk[target]) >= 2)
+
+
+def relation_count(graph: ChamberGraph, length_cap: int | None = None) -> int:
+    """How many relations ``atom_groups`` lists, counted without listing them.
+
+    The sum of C(N, 2) over ordered chamber pairs, with N from
+    ``atom_counts``, one source at a time.  Raises Overflow once the sum
+    passes ``MAX_RELATIONS``, or when more than ``DEFAULT_ATOM_CAP`` atoms
+    join two chambers; once it returns, walking ``atom_groups`` cannot raise.
+    """
+    total = 0
+    for source in graph.chambers:
+        for target, n in atom_counts(graph, source.id, length_cap).items():
+            if n > DEFAULT_ATOM_CAP:
+                raise Overflow(f"more than {DEFAULT_ATOM_CAP} atoms from {source.id} to {target}")
+            total += comb(n, 2)
+        if total > MAX_RELATIONS:
+            raise Overflow(f"more than {MAX_RELATIONS} relations between atoms")
+    return total
 
 
 def crossing_homomorphism(graph: ChamberGraph, word: GroupoidWord) -> tuple[int, ...]:

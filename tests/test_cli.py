@@ -364,14 +364,16 @@ def test_pi1_out_file_matches_stdout(tmp_path):
     ids=["A3", "A2 window 3/2", "D4:J={0,2} window 3/2 cap 4"],
 )
 def test_pi1_relation_count_matches_listing(argv):
-    # the count is summed over the atom groups, apart from the streamed listing
+    # the count comes from relation_count, apart from the streamed listing
     doc = json.loads(run("pi1", *argv, check=True).stdout)
     assert doc["relation_count"] == len(doc["relations"]) > 0
 
 
 def test_pi1_memory_peak(tmp_path):
-    # 95444 relations; traced peak about 9 MB when the entries are spliced
-    # from the shared atom texts, about 28 MB with one dict per relation
+    # 95444 relations; traced peak about 1.3 MB when they are counted first
+    # and listed one source walk at a time, 3.5 MB with the walks of every
+    # source held at once, about 9 MB with every atom of every source
+    # rendered before the first byte, about 28 MB with one dict per relation
     target = tmp_path / "pi1.json"
     tracemalloc.start()
     try:
@@ -380,7 +382,10 @@ def test_pi1_memory_peak(tmp_path):
     finally:
         tracemalloc.stop()
     assert target.stat().st_size == 56123754
-    assert peak < 16 * 10**6
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "5ac4db81086e9feeaf9ebc8cdd995f232111fd2f4cde37adfa997b75dbc23f80"
+    )
+    assert peak < 2.5 * 10**6
 
 
 def test_pi1_failure_writes_nothing():
@@ -389,6 +394,21 @@ def test_pi1_failure_writes_nothing():
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert proc.stderr.startswith("floparr: ")
+
+
+@pytest.mark.parametrize("command", ["pi1", "check"])
+def test_relation_cap_before_any_output(tmp_path, command):
+    # A4 has 47,854,200 relations, above MAX_RELATIONS; pi1 was killed at
+    # 7.7 GB before its first byte.  The count stops both commands early
+    rep = []
+    if command == "check":
+        edges = json.loads(run("chambers", "A4:J={}", check=True).stdout)["edges"]
+        (tmp_path / "rep.json").write_text(json.dumps({str(i): "()" for i in range(len(edges))}))
+        rep = ["--rep", str(tmp_path / "rep.json")]
+    proc = run(command, "A4:J={}", *rep, timeout=30)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("floparr: more than 10000000 relations")
 
 
 def test_closed_stdout_is_quiet():
@@ -456,6 +476,22 @@ def test_check_refuses_extra_edge_ids(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "no edge 999" in proc.stderr
+
+
+@pytest.mark.parametrize("key", ["00", " 0", "+0", "0"], ids=["leading zero", "space", "plus", "repeated"])
+def test_check_refuses_a_second_name_for_an_edge(tmp_path, key):
+    # each of these keys named edge 0 a second time, and the last one won:
+    # the satisfying table plus "00": "(0 1 2)" exited 1 with failures [0, 2, 4]
+    edges = json.loads(run("chambers", "A2:J={}", check=True).stdout)["edges"]
+    cycles = {0: "(0 1)", 1: "(1 2)", 2: "(0 2)"}
+    table = json.dumps({str(i): cycles[e["hyperplane"]] for i, e in enumerate(edges)})
+    rep = tmp_path / "rep.json"
+    rep.write_text(table[:-1] + f', "{key}": "(0 1 2)"}}')
+    assert json.loads(rep.read_text())[key] == "(0 1 2)"
+    proc = run("check", "A2:J={}", "--rep", str(rep))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"floparr: cannot load representation from {rep}")
 
 
 EXIT_CODES = {

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floparr.arrangement import TextList, dumps
+from floparr.arrangement import TextList, dumps, path_text
 
 # quotes, backslashes, control characters, non-ASCII and astral characters
 # next to plain ones, so that every escaping rule of json.dumps is hit
@@ -67,26 +67,26 @@ def test_streams_in_bounded_chunks():
     assert max(len(c) for c in chunks) < len(whole) // 4
 
 
-def text_list(items, cut):
-    """A TextList of ``items``, each yielded in pieces of ``cut`` characters."""
+def text_list(items, run):
+    """A TextList of ``items``, yielded as texts of ``run`` items each."""
     texts = [dumps(v)[:-1] for v in items]
 
-    def pieces(nl):
-        for text in texts:
-            text = text.replace("\n", nl)
-            yield tuple(text[i : i + cut] for i in range(0, len(text), cut))
+    def runs(nl):
+        rendered = [text.replace("\n", nl) for text in texts]
+        for i in range(0, len(rendered), run):
+            yield ("," + nl).join(rendered[i : i + run])
 
-    return TextList(pieces)
+    return TextList(runs)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(values, max_size=6), st.integers(1, 9), values, st.lists(st.sampled_from(["list", "dict"]), max_size=4)
+    st.lists(values, max_size=6), st.integers(1, 4), values, st.lists(st.sampled_from(["list", "dict"]), max_size=4)
 )
-def test_text_list_splices_at_any_depth(items, cut, other, nesting):
+def test_text_list_splices_at_any_depth(items, run, other, nesting):
     # a TextList emits the bytes of the materialised list at the depth where
     # it sits, next to plain values, and again when reused at another depth
-    lazy = text_list(items, cut)
+    lazy = text_list(items, run)
     plain, spliced = [other, items], [other, lazy]
     for kind in nesting:
         plain = [1, plain] if kind == "list" else {"k": plain, "z": [plain], "r": other}
@@ -111,20 +111,30 @@ def test_text_list_streams_in_bounded_chunks():
 
 
 def test_text_list_of_atoms_streams_in_small_chunks():
-    # pi1's relations: 20,000 items of about 700 B, each spliced from two
-    # rendered atoms, so one buffered piece is a whole atom of about 350 B
-    atoms = [{"source": i, "edges": list(range(i, i + 20))} for i in range(200)]
-    texts = [dumps(atom)[:-1] for atom in atoms]
-    pairs = [(i % 200, (7 * i + 1) % 200) for i in range(20000)]
+    # pi1's relations: each group's atoms rendered once by path_text, and
+    # one text per atom holding its entries with every later atom of the
+    # group, so one yielded text can hold over a hundred entries of about 700 B
+    atoms = [{"source": i % 7, "edges": list(range(i, i + 20))} for i in range(360)]
+    groups = [atoms[i : i + 120] for i in range(0, 360, 120)]
 
     def relations(nl):
         inner = nl + "  "
         head, mid, tail = "{" + inner + '"p": ', "," + inner + '"q": ', nl + "}"
-        rendered = [text.replace("\n", inner) for text in texts]
-        for i, j in pairs:
-            yield head, rendered[i], mid, rendered[j], tail
+        for group in groups:
+            texts = [path_text(atom["source"], atom["edges"], inner) for atom in group]
+            for i, p in enumerate(texts[:-1], 1):
+                yield head + p + mid + (tail + "," + nl + head + p + mid).join(texts[i:]) + tail
 
     chunks = []
     dumps({"relations": TextList(relations)}, chunks.append)
-    assert "".join(chunks) == reference({"relations": [{"p": atoms[i], "q": atoms[j]} for i, j in pairs]})
-    assert max(len(c) for c in chunks) < 1 << 20
+    pairs = [{"p": p, "q": q} for group in groups for i, p in enumerate(group) for q in group[i + 1 :]]
+    assert "".join(chunks) == reference({"relations": pairs})
+    assert max(len(c) for c in chunks) < 1 << 18
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(), st.lists(st.integers(min_value=0), max_size=5), st.integers(0, 4))
+def test_path_text_is_the_path_as_dumps_renders_it(source, edges, depth):
+    nl = "\n" + "  " * depth
+    path = {"source": source, "edges": edges}
+    assert path_text(source, tuple(edges), nl) == dumps(path)[:-1].replace("\n", nl)

@@ -2,6 +2,7 @@ import random
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -13,8 +14,10 @@ from floparr import (
     GroupoidWord,
     MissingEdgeAssignment,
     NonComposable,
+    Overflow,
     Perm,
     PositivePath,
+    atom_counts,
     atom_groups,
     atoms,
     base_chamber,
@@ -27,6 +30,7 @@ from floparr import (
     parse_perm,
     path_target,
     product_arrangement,
+    relation_count,
     rewrite_rules,
     separating_set,
     word_concat,
@@ -36,6 +40,7 @@ from floparr import (
     word_of_path,
     word_to_json,
 )
+from floparr import pi1
 
 from helpers import affine_graph, central, central_graph
 
@@ -305,6 +310,47 @@ def test_relations_match_nested_loop(name):
         for found in atom_groups(g, cap):
             assert len(found) >= 2
             assert len({(p.source, path_target(g, p), len(p)) for p in found}) == 1
+
+
+COUNT_GRAPHS = {
+    "A2": lambda: central_graph("A2:J={}"),
+    "A3": lambda: central_graph("A3:J={}"),
+    "A3:J={1}": lambda: central_graph("A3:J={1}"),
+    "D4:J={0,2}": lambda: central_graph("D4:J={0,2}"),
+    "A2 window 3/2": lambda: affine_graph("A2:J={}", "3/2"),
+    "D4:J={0,2} window 1": lambda: affine_graph("D4:J={0,2}", 1),
+}
+
+
+@pytest.mark.parametrize("cap", [None, 3], ids=["uncapped", "length cap 3"])
+@pytest.mark.parametrize("name", sorted(COUNT_GRAPHS))
+def test_atom_counts_match_atoms(name, cap):
+    # the DP count against the atoms listed for every ordered pair, and the
+    # relation count against the pairs of those listings
+    g = COUNT_GRAPHS[name]()
+    total = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryContactWarning)
+        for s in g.chambers:
+            listed = {t.id: atoms(g, s.id, t.id) for t in g.chambers}
+            expected = {t: len(found) for t, found in listed.items() if cap is None or len(found[0]) <= cap}
+            assert atom_counts(g, s.id, cap) == expected
+            total += sum(comb(n, 2) for n in expected.values())
+    assert relation_count(g, cap) == total == len(_pairs(g, cap))
+
+
+def test_relation_count_caps(monkeypatch):
+    # A3 has 4152 relations, and 16 atoms join each pair of opposite chambers
+    g = central_graph("A3:J={}")
+    assert relation_count(g) == 4152
+    monkeypatch.setattr(pi1, "MAX_RELATIONS", 4151)
+    with pytest.raises(Overflow, match="more than 4151 relations"):
+        relation_count(g)
+    monkeypatch.setattr(pi1, "MAX_RELATIONS", 4152)
+    assert relation_count(g) == 4152
+    monkeypatch.setattr(pi1, "DEFAULT_ATOM_CAP", 15)
+    with pytest.raises(Overflow, match="more than 15 atoms from 0 to "):
+        relation_count(g)
 
 
 def _tables(g, seed):

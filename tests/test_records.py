@@ -84,6 +84,22 @@ def test_constructor_errors():
         Perm((0, 0))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Perm((1, 0))._replace(images=(0, 0)), lambda: Perm([1, 0]), lambda: Perm((True, False))],
+    ids=["_replace with a non-permutation", "list of images", "bool images"],
+)
+def test_perm_refuses_what_its_constructor_refuses(make):
+    # _replace used to skip the check, and str() of the result never returned
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_perm_replace_keeps_the_canonical_form():
+    assert Perm((1, 0))._replace(images=(0, 2, 1)).images == (0, 2, 1)
+    assert Perm._make([(1, 0, 2)]) == Perm((1, 0)) and Perm._make([(1, 0, 2)]).images == (1, 0)
+
+
 def test_contracted_is_a_frozenset():
     data = DynkinData(DynkinType("A", 3), {0})
     assert type(data.contracted) is frozenset and data.contracted == {0}
