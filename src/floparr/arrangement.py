@@ -15,6 +15,7 @@ identical JSON.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -31,6 +32,21 @@ MAX_TRANSLATES = 10**5
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_printable(numbers, what: str) -> None:
+    """Overflow unless ``str`` can write every int, and both terms of every
+    Fraction, in ``numbers``.
+
+    Python refuses ints of more than ``sys.get_int_max_str_digits()``
+    digits (0, or a Python without the function, sets no limit); an int
+    below 2**(3 * limit) is shorter than that.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    for x in numbers if limit else ():
+        for n in (x.numerator, x.denominator):
+            if n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+                raise Overflow(f"{what} has a number of more than {limit} digits, too long to write")
 
 
 class Hyperplane(namedtuple("Hyperplane", "normal level")):
@@ -54,7 +70,8 @@ class Arrangement(namedtuple("Arrangement", "dim radius hyperplanes")):
     Hyperplanes with tuple normals; ``dim >= 1``; a positive int or
     Fraction radius; ``dim`` entries per normal; each ``(normal, level)``
     primitive and oriented; level 0 throughout when central; and strictly
-    increasing hyperplanes, each once.
+    increasing hyperplanes, each once.  A radius, normal entry or level
+    too long for ``str`` to write raises Overflow.
     """
 
     __slots__ = ()
@@ -70,6 +87,7 @@ class Arrangement(namedtuple("Arrangement", "dim radius hyperplanes")):
             raise ValueError("dim must be a positive integer")
         if radius is not None and radius <= 0:
             raise ValueError(f"window radius must be positive, got {radius}")
+        check_printable(() if radius is None else (radius,), "the window radius")
         if not (type(hyperplanes) is tuple and all(isinstance(h, Hyperplane) for h in hyperplanes)):
             raise ValueError(f"hyperplanes must be a tuple of Hyperplanes, got {hyperplanes!r}")
         for h in hyperplanes:
@@ -81,6 +99,7 @@ class Arrangement(namedtuple("Arrangement", "dim radius hyperplanes")):
                 raise ValueError(f"normal {h.normal!r} with level {h.level} is not primitive and oriented")
             if radius is None and h.level != 0:
                 raise ValueError("central arrangements have level 0 only")
+        check_printable((v for h in hyperplanes for v in h.normal + (h.level,)), "a hyperplane")
         if any(a >= b for a, b in zip(hyperplanes, hyperplanes[1:])):
             raise ValueError("an arrangement lists its hyperplanes in increasing order, each once")
         return super().__new__(cls, dim, radius, hyperplanes)
@@ -227,6 +246,26 @@ class TextList:
         self.items = items
 
 
+class LazyList:
+    """A JSON list whose items ``dumps`` makes one at a time as it emits them.
+
+    The items are ``function(item)`` for each of ``items``, encoded as the
+    items of a list are, so no more than one of them is held at once.
+    ``chambers`` lists its chambers and edges this way.  As with
+    ``TextList``, an error must come before the first item: enumeration
+    checks that every witness can be written.
+    """
+
+    __slots__ = ("function", "items")
+
+    def __init__(self, function, items):
+        self.function = function
+        self.items = items
+
+    def __iter__(self):
+        return map(self.function, self.items)
+
+
 # buffered pieces per write while streaming, each a scalar, a key, a
 # separator or an all-int list
 _FLUSH = 1 << 10
@@ -256,14 +295,11 @@ def _encode(value, nl, buf, write):
                 write("".join(buf))
                 buf.clear()
         buf.append(nl + "}")
-    elif isinstance(value, list):
-        if not value:
-            buf.append("[]")
-            return
+    elif isinstance(value, list) and value and all(type(v) is int for v in value):
         inner = nl + "  "
-        if all(type(v) is int for v in value):
-            buf.append("[" + inner + ("," + inner).join(map(str, value)) + nl + "]")
-            return
+        buf.append("[" + inner + ("," + inner).join(map(str, value)) + nl + "]")
+    elif isinstance(value, (list, LazyList)):
+        inner = nl + "  "
         sep = "[" + inner
         for v in value:
             buf.append(sep)
@@ -272,7 +308,7 @@ def _encode(value, nl, buf, write):
             if len(buf) > _FLUSH:
                 write("".join(buf))
                 buf.clear()
-        buf.append(nl + "]")
+        buf.append("[]" if sep[0] == "[" else nl + "]")
     elif isinstance(value, str):
         buf.append(_quote(value))
     elif value is None:
@@ -303,8 +339,8 @@ def _encode(value, nl, buf, write):
 def dumps(obj, write=None):
     """The one JSON emitter: the bytes of ``json.dumps(obj, indent=2) + "\n"``.
 
-    It takes dicts with str keys, lists, str, int, bool, None and
-    ``TextList`` items, and raises TypeError on anything else.  Without
+    It takes dicts with str keys, lists, str, int, bool, None, ``LazyList``
+    and ``TextList`` items, and raises TypeError on anything else.  Without
     ``write`` it returns the text.  With it, the text goes to ``write`` in
     chunks and is never built whole, so a report of any length streams in
     bounded memory.  A chunk holds about ``_FLUSH`` pieces, each a scalar,

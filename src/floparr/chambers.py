@@ -9,8 +9,12 @@ reproducible run to run and machine to machine.
 
 Walls are found by flipping one sign: h is a wall of C exactly when C
 with h's sign flipped is a chamber, so one witness solve per new sign
-vector finds the neighbour.  One memo maps each sign vector solved so
-far to its chamber id, or to None once it is proven empty.  A flip that
+vector finds the neighbour.  A memo remembers each vector solved so far
+in one of two key forms.  A chamber's vector maps to its id under the
+Chamber's own ``signs`` tuple, so the memo holds no second copy of it.  A
+vector proven empty, and a mirror waiting to be reached (below), is kept
+only as the bytes of its minus-sign bits, one bit per hyperplane, which
+each flip looks up before it builds a tuple at all.  A flip that
 breaks the +...+-...- sign order along the translates of one normal is
 empty, so it is skipped before the flipped vector is even built.  Each
 hyperplane's row is built once per enumeration, on both sides, for the
@@ -33,7 +37,9 @@ with one solve per vector.
 
 Ids are assigned in discovery order, with each chamber expanding its
 hyperplanes in increasing index.  For each adjacent pair both directed
-edges appear, labeled by the separating hyperplane.
+edges appear, labeled by the separating hyperplane.  A witness with a
+number too long for ``str`` to write raises Overflow as it is found, so
+a report streamed from the graph cannot fail after its first byte.
 
 ``region_count_zaslavsky`` counts the chambers of the full space (the
 window plays no role) through the Moebius function of the intersection
@@ -47,7 +53,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, check_printable
 from .errors import Overflow, UnknownChamber
 from .linear import ONE, box_constraints, dot, feasible_point, rref
 
@@ -83,17 +89,19 @@ class Edge(namedtuple("Edge", "id source target hyperplane")):
 
 
 class ChamberGraph:
-    """Chambers plus directed wall-crossing edges of one arrangement."""
+    """Chambers plus directed wall-crossing edges of one arrangement.
+
+    Each chamber keeps one list of its out-edges; ``edge_across`` scans
+    that list, which holds one edge per wall of the chamber.
+    """
 
     def __init__(self, arrangement: Arrangement, chambers, edges):
         self.arrangement = arrangement
         self.chambers = tuple(chambers)
         self.edges = tuple(edges)
-        self._out = {c.id: [] for c in self.chambers}
-        self._by_wall = {}
+        self._out = [[] for _ in self.chambers]
         for e in self.edges:
             self._out[e.source].append(e)
-            self._by_wall[(e.source, e.hyperplane)] = e
         self._by_signs = {c.signs: c.id for c in self.chambers}
 
     def __len__(self) -> int:
@@ -109,8 +117,7 @@ class ChamberGraph:
         return self._out[cid]
 
     def edge_across(self, cid: int, hyperplane: int) -> Edge | None:
-        self.chamber(cid)
-        return self._by_wall.get((cid, hyperplane))
+        return next((e for e in self.out_edges(cid) if e.hyperplane == hyperplane), None)
 
     def id_of_signs(self, signs) -> int | None:
         return self._by_signs.get(tuple(signs))
@@ -156,6 +163,16 @@ def _rows(system, signs):
     return [pair[s] for pair, s in zip(sides, signs)] + tail
 
 
+def _minus_bits(signs) -> bytearray:
+    """The memo's compact form of a sign vector: bit h (bit h % 8 of byte
+    h // 8) is set when h has sign -1."""
+    bits = bytearray((len(signs) + 7) >> 3)
+    for h, s in enumerate(signs):
+        if s < 0:
+            bits[h >> 3] |= 1 << (h & 7)
+    return bits
+
+
 def _touches_boundary(table, signs) -> bool:
     """Does the closure of the chamber meet the window boundary?"""
     dim, _, faces = table
@@ -168,6 +185,7 @@ def _solve(table, signs):
     witness = feasible_point(dim, _rows(chamber, signs))
     if witness is None:
         return None
+    check_printable(witness, "a chamber witness")
     return witness, _touches_boundary(table, signs)
 
 
@@ -219,6 +237,7 @@ def seed_chamber(arr: Arrangement) -> Chamber:
         values = [dot(point, h.normal) - h.level for h in arr.hyperplanes]
         if all(v != 0 for v in values):
             signs = tuple(1 if v > 0 else -1 for v in values)
+            check_printable(point, "the seed chamber's witness")
             return Chamber(0, signs, point, _touches_boundary(_row_table(arr), signs))
     raise AssertionError("more than dim roots of a nonzero polynomial of degree dim")
 
@@ -233,38 +252,54 @@ def enumerate_chambers(arr: Arrangement) -> ChamberGraph:
     partner = _partners(planes)
     seed = seed_chamber(arr)
     chambers = [seed]
-    # sign vector -> chamber id, or None once the vector is proven empty
+    # the memo: each chamber's sign vector, the Chamber's own tuple, -> its
+    # id, and the minus bits of each vector proven empty (a dict: a set's
+    # table would take over three times the memory)
     index = {seed.signs: 0}
-    # mirrors of solved vectors the search has not reached yet, with
-    # their (witness, boundary flag), or None when empty
+    empty = {}
+    # minus bits of the mirrors of solved vectors the search has not
+    # reached yet -> their (witness, boundary flag), or None when empty
     pending = {}
     edges = []
     for current in chambers:
         signs = current.signs
+        bits = _minus_bits(signs)
         for h in range(len(planes)):
             # The other signs and the open window cut out a convex open
             # region; it meets h exactly when both sides of h are
             # nonempty, so h is a wall exactly when the flip is a chamber.
             if _breaks_class_order(planes, signs, h):
                 continue
+            byte, bit = h >> 3, 1 << (h & 7)
+            bits[byte] ^= bit
+            key = bytes(bits)
+            bits[byte] ^= bit
+            if key in empty:
+                continue
             flipped = signs[:h] + (-signs[h],) + signs[h + 1 :]
-            if flipped not in index:
-                if flipped in pending:
-                    found = pending.pop(flipped)
+            cid = index.get(flipped)
+            if cid is None:
+                if key in pending:
+                    found = pending.pop(key)
                 else:
                     found = _solve(table, flipped)
                     if partner is not None:
-                        mirror = tuple(-flipped[g] for g in partner)
+                        # tuple() of a list takes a tuple of length H from
+                        # the interpreter's free list; of a generator it
+                        # resizes a shorter one, and each such tuple freed
+                        # would pile up on that free list
+                        mirror = tuple([-flipped[g] for g in partner])
                         # the seed is in index, so nothing lands on it
                         if mirror not in index and mirror != flipped:
-                            pending[mirror] = None if found is None else (tuple(-v for v in found[0]), found[1])
+                            pending[bytes(_minus_bits(mirror))] = (
+                                None if found is None else (tuple(-v for v in found[0]), found[1])
+                            )
                 if found is None:
-                    index[flipped] = None
-                else:
-                    index[flipped] = len(chambers)
-                    chambers.append(Chamber(len(chambers), flipped, *found))
-            if index[flipped] is not None:
-                edges.append(Edge(len(edges), current.id, index[flipped], h))
+                    empty[key] = None
+                    continue
+                cid = index[flipped] = len(chambers)
+                chambers.append(Chamber(cid, flipped, *found))
+            edges.append(Edge(len(edges), current.id, cid, h))
     return ChamberGraph(arr, chambers, edges)
 
 
@@ -338,19 +373,16 @@ def region_count_zaslavsky(arr: Arrangement) -> int:
     return intersection_poset(arr).region_count()
 
 
+def chamber_to_json(c: Chamber) -> dict:
+    return {"id": c.id, "signs": list(c.signs), "witness": [str(v) for v in c.witness], "boundary": c.boundary}
+
+
+def edge_to_json(e: Edge) -> dict:
+    return {"from": e.source, "to": e.target, "hyperplane": e.hyperplane}
+
+
 def graph_to_json(graph: ChamberGraph) -> dict:
     return {
-        "chambers": [
-            {
-                "id": c.id,
-                "signs": list(c.signs),
-                "witness": [str(v) for v in c.witness],
-                "boundary": c.boundary,
-            }
-            for c in graph.chambers
-        ],
-        "edges": [
-            {"from": e.source, "to": e.target, "hyperplane": e.hyperplane}
-            for e in graph.edges
-        ],
+        "chambers": [chamber_to_json(c) for c in graph.chambers],
+        "edges": [edge_to_json(e) for e in graph.edges],
     }

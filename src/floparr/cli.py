@@ -33,6 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .arrangement import (
+    LazyList,
     TextList,
     arrangement_from_json,
     arrangement_to_json,
@@ -41,7 +42,7 @@ from .arrangement import (
     dumps,
     path_text,
 )
-from .chambers import enumerate_chambers, graph_to_json
+from .chambers import chamber_to_json, edge_to_json, enumerate_chambers
 from .dynkin import DynkinData, DynkinType, parse_data
 from .errors import FloparrError, ParseFailure
 from .galleries import DEFAULT_ATOM_CAP, BoundaryContactWarning, atoms, path_to_json, path_touches_boundary
@@ -87,8 +88,10 @@ def _emit(args, report) -> None:
     """Stream a report, canonical JSON or SVG text, to --out or stdout.
 
     Callers raise every error first, so a failure leaves no output: each
-    report is built whole, except the relations of ``pi1``, which are
-    listed as they are written once their count has passed its cap.
+    report is built whole, except the chambers and edges of ``chambers``,
+    rendered one at a time from the graph as they are written, and the
+    relations of ``pi1``, listed as they are written once their count has
+    passed its cap.
     """
 
     def send(write):
@@ -114,12 +117,11 @@ def cmd_build(args) -> int:
 
 def cmd_chambers(args) -> int:
     graph = enumerate_chambers(_resolve_arrangement(args))
-    body = graph_to_json(graph)
     report = {
         "count": len(graph.chambers),
         "boundary_count": sum(1 for c in graph.chambers if c.boundary),
-        "chambers": body["chambers"],
-        "edges": body["edges"],
+        "chambers": LazyList(chamber_to_json, graph.chambers),
+        "edges": LazyList(edge_to_json, graph.edges),
     }
     _emit(args, report)
     return 0

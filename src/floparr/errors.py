@@ -48,7 +48,8 @@ class Unreachable(FloparrError):
 
 
 class Overflow(FloparrError):
-    """An enumeration, a window, a rank or a dimension exceeded its cap."""
+    """An enumeration, a window, a rank or a dimension exceeded its cap, or a
+    number has more digits than Python will write."""
 
     exit_code = 4
 

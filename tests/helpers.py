@@ -14,6 +14,7 @@ import networkx as nx
 from floparr import (
     Arrangement,
     Hyperplane,
+    arrangement_from_json,
     build_affine,
     build_finite,
     enumerate_chambers,
@@ -46,6 +47,20 @@ def parallel_line(n):
     """n translates x = -(n // 2) .. n - n // 2 - 1 of one point in a dim-1 window."""
     low = -(n // 2)
     return Arrangement(1, Fraction(n // 2 + 1), tuple(Hyperplane((1,), k) for k in range(low, low + n)))
+
+
+def a5_height_two():
+    """The nine roots of A5 of height at most 2: a central arrangement in dim 5."""
+    normals = sorted(
+        [1 if start <= i <= stop else 0 for i in range(5)]
+        for start in range(5)
+        for stop in range(start, min(start + 2, 5))
+    )
+    return arrangement_from_json({
+        "dim": 5,
+        "kind": "central",
+        "hyperplanes": [{"normal": n, "level": 0} for n in normals],
+    })
 
 
 def central_graph(text):

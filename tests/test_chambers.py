@@ -21,6 +21,7 @@ from floparr.arrangement import dumps
 from floparr.linear import box_constraints, dot, feasible_point
 
 from helpers import (
+    a5_height_two,
     affine,
     affine_graph,
     central,
@@ -305,27 +306,13 @@ def test_mirror_results_match_full_solves(monkeypatch, name):
             assert g.chambers[cid].boundary == floparr.chambers._touches_boundary(table, signs), signs
 
 
-def _a5_height_two():
-    # the nine roots of A5 of height at most 2: a central arrangement in dim 5
-    normals = sorted(
-        [1 if start <= i <= stop else 0 for i in range(5)]
-        for start in range(5)
-        for stop in range(start, min(start + 2, 5))
-    )
-    return arrangement_from_json({
-        "dim": 5,
-        "kind": "central",
-        "hyperplanes": [{"normal": n, "level": 0} for n in normals],
-    })
-
-
 @pytest.mark.parametrize(
     "arr, digest",
     [
         (lambda: central("A3:J={}"), "531e7fe2124ab93dc005e3d5e2adf71feb02bece3e4d7f1a76932a1bc2fa608c"),
         (lambda: affine("A2:J={}", Fraction(3, 2)), "d0ac71acb0554e8517afe9d22cac6c43fb552d4c75067140dfb06bb0d940a8d3"),
         (lambda: affine("A3:J={}", 1), "8515f554ba4ce85f5355e62c63c88259492990198ba90e067745de3f3d5250f6"),
-        (_a5_height_two, "db07b3a005cd4be367413fec814d37190afc6d13394c6743e3724bc3717b12ac"),
+        (a5_height_two, "db07b3a005cd4be367413fec814d37190afc6d13394c6743e3724bc3717b12ac"),
         (lambda: central("D4:J={}"), "c9d0f92ca21f1819730fb6d0418b2a010e8082cbfac6858c9a0251d51add2648"),
         (lambda: affine("D4:J={0,2}", Fraction(3, 2)), "e3691635b70fae45577aae19ef7a702f523d01d9639946efa74a37efe4ba7995"),
     ],
@@ -341,7 +328,7 @@ def test_graph_json_pinned(arr, digest):
     "arr, witness, boundary",
     [
         (lambda: central("D4:J={}"), 672, 0),
-        (_a5_height_two, 216, 0),
+        (a5_height_two, 216, 0),
         (lambda: affine("A2:J={}", Fraction(7, 2)), 124, 200),
         (lambda: affine("A3:J={}", 1), 199, 33),
         (lambda: affine("D4:J={0,2}", Fraction(3, 2)), 101, 75),

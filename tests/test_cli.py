@@ -7,8 +7,11 @@ import tracemalloc
 
 import pytest
 
-from floparr import errors
+from floparr import Arrangement, arrangement_to_json, enumerate_chambers, errors, graph_to_json
+from floparr.arrangement import dumps
 from floparr.cli import main
+
+from helpers import a5_height_two, affine, central
 
 CLI = [sys.executable, "-m", "floparr.cli"]
 
@@ -138,6 +141,29 @@ def test_chambers_deterministic():
     a = run("chambers", "A2:J={}", "--window", "3/2", check=True).stdout
     b = run("chambers", "A2:J={}", "--window", "3/2", check=True).stdout
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "argv, arr",
+    [
+        (["A1:J={}"], lambda: central("A1:J={}")),
+        (["A2:J={}", "--window", "7/2"], lambda: affine("A2:J={}", "7/2")),
+        (None, a5_height_two),
+        (None, lambda: Arrangement(2, None, ())),
+    ],
+    ids=["A1", "A2 r=7/2", "A5 height<=2", "no hyperplanes"],
+)
+def test_chambers_streams_the_graph_json(tmp_path, argv, arr):
+    # chambers renders each chamber and edge as it writes it; the bytes are
+    # those of the whole report built as a dict.  With no hyperplanes the
+    # one chamber has "signs": [] and the edge list is empty
+    arr = arr()
+    if argv is None:
+        (tmp_path / "arr.json").write_text(json.dumps(arrangement_to_json(arr)))
+        argv = ["--in", str(tmp_path / "arr.json")]
+    graph = enumerate_chambers(arr)
+    report = {"count": len(graph), "boundary_count": sum(c.boundary for c in graph.chambers), **graph_to_json(graph)}
+    assert run("chambers", *argv, check=True).stdout == dumps(report)
 
 
 def test_atoms_between_opposite_sectors():
@@ -388,6 +414,24 @@ def test_pi1_memory_peak(tmp_path):
     assert peak < 2.5 * 10**6
 
 
+def test_chambers_memory_peak(tmp_path):
+    # 720 chambers and 3,600 edges; traced peak about 1.8 MB with one copy
+    # of the graph, rendered as it is written, and empty flips kept as
+    # minus-sign bits; 3.0 MB with the report built whole before the first
+    # byte and every empty flip kept as a sign tuple
+    target = tmp_path / "chambers.json"
+    tracemalloc.start()
+    try:
+        assert main(["chambers", "A5:J={}", "--out", str(target)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "9bdd30e22e8a45bc56f50b62825ad80c10d9b44b4b0fc5d85ba2a58d1ebc4ba6"
+    )
+    assert peak < 2.6 * 10**6
+
+
 def test_pi1_failure_writes_nothing():
     # generators overflow at --cap 1; the relations are never emitted in part
     proc = run("pi1", "A3:J={}", "--cap", "1")
@@ -590,6 +634,33 @@ def test_numbers_too_long_for_int_are_parse_failures():
         assert proc.returncode in (2, 4)
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["build", "A2:J={}", "--window", "1e-5000"], None),
+        (["chambers"], {"dim": 1, "kind": {"affine": {"radius": "1e5000"}}, "hyperplanes": [{"normal": [1], "level": 0}]}),
+        # legal normals whose chamber witnesses have more than 5000 digits
+        (["chambers"], {"dim": 2, "kind": "central", "hyperplanes": [
+            {"normal": [1, 10**2500 + 1], "level": 0},
+            {"normal": [10**2500 + 1, -1], "level": 0},
+        ]}),
+    ],
+    ids=["window 1e-5000", "radius 1e5000", "witness"],
+)
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this Python writes ints of any length")
+def test_numbers_too_long_to_write_are_overflow(tmp_path, argv, doc):
+    # str() refuses ints of more than 4300 digits; the radius, the
+    # hyperplanes and every witness are checked before the first byte
+    if doc is not None:
+        (tmp_path / "arr.json").write_text(json.dumps(doc))
+        argv = argv + ["--in", str(tmp_path / "arr.json")]
+    proc = run(*argv, timeout=30)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("floparr: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_exit_code_unknown_chamber():
