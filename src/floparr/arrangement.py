@@ -15,6 +15,7 @@ identical JSON.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -103,10 +104,6 @@ class Arrangement(namedtuple("Arrangement", "dim radius hyperplanes")):
         if any(a >= b for a, b in zip(hyperplanes, hyperplanes[1:])):
             raise ValueError("an arrangement lists its hyperplanes in increasing order, each once")
         return super().__new__(cls, dim, radius, hyperplanes)
-
-    @property
-    def is_affine(self) -> bool:
-        return self.radius is not None
 
     def __len__(self) -> int:
         return len(self.hyperplanes)
@@ -206,6 +203,32 @@ def arrangement_to_json(arr: Arrangement) -> dict:
     }
 
 
+# the exponent of the decimal form Fraction reads, and the text before it
+_EXPONENT = re.compile(r"\s*[-+]?([\d_.]*)[eE]([-+]?[\d_]+)\s*")
+
+
+def parse_radius(text) -> Fraction:
+    """A window radius from an int or from a str such as "7/2", "1.5" or "1e-1".
+
+    ``Fraction`` expands an exponent e to 10**e before anything can look
+    at the result, which takes minutes for e near 10**8.  The d characters
+    before the exponent move the result's length by at most d digits, so
+    an |e| above the length limit of ``str`` plus d leaves a nonzero
+    result too long to write: Overflow, before any expansion.  Any other
+    bad text is a ValueError.
+    """
+    if not (isinstance(text, str) or _is_int(text)):
+        raise ValueError(f'radius must be a string such as "7/2" or an integer, got {text!r}')
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    found = _EXPONENT.fullmatch(text) if limit and isinstance(text, str) else None
+    if found and abs(int(found[2])) > limit + len(found[1]):
+        raise Overflow(f"the window radius has a number of more than {limit} digits, too long to write")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad radius {text!r}") from exc
+
+
 def arrangement_from_json(obj: dict) -> Arrangement:
     """Decode an arrangement, e.g. one built from a user matrix.
 
@@ -213,16 +236,7 @@ def arrangement_from_json(obj: dict) -> Arrangement:
     """
     dim = obj["dim"]
     kind = obj["kind"]
-    if kind == "central":
-        radius = None
-    else:
-        text = kind["affine"]["radius"]
-        if not (isinstance(text, str) or _is_int(text)):
-            raise ValueError(f'radius must be a string such as "7/2" or an integer, got {text!r}')
-        try:
-            radius = Fraction(text)
-        except ZeroDivisionError as exc:
-            raise ValueError(f"bad radius {text!r}") from exc
+    radius = None if kind == "central" else parse_radius(kind["affine"]["radius"])
     planes = tuple(Hyperplane(tuple(item["normal"]), item["level"]) for item in obj["hyperplanes"])
     return Arrangement(dim, radius, planes)
 

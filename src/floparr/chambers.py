@@ -9,14 +9,13 @@ reproducible run to run and machine to machine.
 
 Walls are found by flipping one sign: h is a wall of C exactly when C
 with h's sign flipped is a chamber, so one witness solve per new sign
-vector finds the neighbour.  A memo remembers each vector solved so far
-in one of two key forms.  A chamber's vector maps to its id under the
-Chamber's own ``signs`` tuple, so the memo holds no second copy of it.  A
-vector proven empty, and a mirror waiting to be reached (below), is kept
-only as the bytes of its minus-sign bits, one bit per hyperplane, which
-each flip looks up before it builds a tuple at all.  A flip that
-breaks the +...+-...- sign order along the translates of one normal is
-empty, so it is skipped before the flipped vector is even built.  Each
+vector finds the neighbour.  One memo remembers each vector met so far
+by the bytes of its minus-sign bits, one bit per hyperplane: a chamber's
+vector maps to its id, an empty one to None, and a mirror waiting to be
+reached (below) to its result.  Each flip looks its bits up first, and
+builds its sign tuple only to solve it or to make it a chamber.  A flip
+that breaks the +...+-...- sign order along the translates of one normal
+is empty, so it is skipped before its bits are even looked up.  Each
 hyperplane's row is built once per enumeration, on both sides, for the
 open chamber and for each closed window face ``x_i = +-p/q`` (for radius
 p/q), where the weak row is substituted and scaled by q so the rows stay
@@ -29,11 +28,11 @@ of a sign vector v, ``m[h] = -v[partner(h)]``, then cuts out exactly
 the negated region.  So one solve of v also settles m: m is empty when v
 is, m's witness is exactly -(v's witness), because the kernel's witness
 depends only on the feasible set and its interval rule is odd under
-negation, and m's boundary flag equals v's.  The result waits in a side
-dict until the search reaches m.  The seed's witness comes from the
-probe and not from the kernel, so nothing is mirrored onto it.  An
-arrangement without partners (possible for ``--in`` input) is searched
-with one solve per vector.
+negation, and m's boundary flag equals v's.  Unless m is in the memo
+already, its result waits there until the search reaches m.  The seed's
+witness comes from the probe and not from the kernel, so nothing is
+mirrored onto it.  An arrangement without partners (possible for
+``--in`` input) is searched with one solve per vector.
 
 Ids are assigned in discovery order, with each chamber expanding its
 hyperplanes in increasing index.  For each adjacent pair both directed
@@ -73,6 +72,7 @@ def _primes(limit):
 
 
 _PRIMES = _primes(_PROBE_LIMIT)
+_UNSOLVED = object()
 
 
 class Chamber(namedtuple("Chamber", "id signs witness boundary")):
@@ -92,7 +92,8 @@ class ChamberGraph:
     """Chambers plus directed wall-crossing edges of one arrangement.
 
     Each chamber keeps one list of its out-edges; ``edge_across`` scans
-    that list, which holds one edge per wall of the chamber.
+    that list, which holds one edge per wall of the chamber.  The graph
+    keeps no index by sign vector: ``id_of_signs`` scans the chambers.
     """
 
     def __init__(self, arrangement: Arrangement, chambers, edges):
@@ -102,7 +103,6 @@ class ChamberGraph:
         self._out = [[] for _ in self.chambers]
         for e in self.edges:
             self._out[e.source].append(e)
-        self._by_signs = {c.signs: c.id for c in self.chambers}
 
     def __len__(self) -> int:
         return len(self.chambers)
@@ -120,7 +120,8 @@ class ChamberGraph:
         return next((e for e in self.out_edges(cid) if e.hyperplane == hyperplane), None)
 
     def id_of_signs(self, signs) -> int | None:
-        return self._by_signs.get(tuple(signs))
+        signs = tuple(signs)
+        return next((c.id for c in self.chambers if c.signs == signs), None)
 
 
 def _row_table(arr):
@@ -252,14 +253,10 @@ def enumerate_chambers(arr: Arrangement) -> ChamberGraph:
     partner = _partners(planes)
     seed = seed_chamber(arr)
     chambers = [seed]
-    # the memo: each chamber's sign vector, the Chamber's own tuple, -> its
-    # id, and the minus bits of each vector proven empty (a dict: a set's
-    # table would take over three times the memory)
-    index = {seed.signs: 0}
-    empty = {}
-    # minus bits of the mirrors of solved vectors the search has not
-    # reached yet -> their (witness, boundary flag), or None when empty
-    pending = {}
+    # the memo, keyed by the minus bits of each sign vector met so far: a
+    # chamber's id, None for an empty vector, or the (witness, boundary
+    # flag) of a mirror the search has not reached yet
+    memo = {bytes(_minus_bits(seed.signs)): 0}
     edges = []
     for current in chambers:
         signs = current.signs
@@ -274,30 +271,25 @@ def enumerate_chambers(arr: Arrangement) -> ChamberGraph:
             bits[byte] ^= bit
             key = bytes(bits)
             bits[byte] ^= bit
-            if key in empty:
+            found = memo.get(key, _UNSOLVED)
+            if found is None:
                 continue
-            flipped = signs[:h] + (-signs[h],) + signs[h + 1 :]
-            cid = index.get(flipped)
-            if cid is None:
-                if key in pending:
-                    found = pending.pop(key)
-                else:
+            if type(found) is int:
+                cid = found
+            else:
+                flipped = signs[:h] + (-signs[h],) + signs[h + 1 :]
+                if found is _UNSOLVED:
                     found = _solve(table, flipped)
                     if partner is not None:
-                        # tuple() of a list takes a tuple of length H from
-                        # the interpreter's free list; of a generator it
-                        # resizes a shorter one, and each such tuple freed
-                        # would pile up on that free list
-                        mirror = tuple([-flipped[g] for g in partner])
-                        # the seed is in index, so nothing lands on it
-                        if mirror not in index and mirror != flipped:
-                            pending[bytes(_minus_bits(mirror))] = (
-                                None if found is None else (tuple(-v for v in found[0]), found[1])
-                            )
+                        # the seed is in the memo, so nothing lands on it
+                        memo.setdefault(
+                            bytes(_minus_bits([-flipped[g] for g in partner])),
+                            None if found is None else (tuple(-v for v in found[0]), found[1]),
+                        )
                 if found is None:
-                    empty[key] = None
+                    memo[key] = None
                     continue
-                cid = index[flipped] = len(chambers)
+                cid = memo[key] = len(chambers)
                 chambers.append(Chamber(cid, flipped, *found))
             edges.append(Edge(len(edges), current.id, cid, h))
     return ChamberGraph(arr, chambers, edges)

@@ -14,7 +14,7 @@ from floparr import (
     parse_data,
     product_arrangement,
 )
-from floparr.arrangement import MAX_TRANSLATES, restrict_roots
+from floparr.arrangement import MAX_TRANSLATES, parse_radius, restrict_roots
 from floparr.dynkin import MAX_RANK
 
 from helpers import affine, central
@@ -43,7 +43,7 @@ def test_build_finite_dedupes_to_lines():
     assert arr.dim == 2
     assert [h.normal for h in arr.hyperplanes] == [(0, 1), (1, 0), (1, 1)]
     assert all(h.level == 0 for h in arr.hyperplanes)
-    assert not arr.is_affine
+    assert arr.radius is None
 
 
 def test_build_finite_full_a3():
@@ -147,7 +147,7 @@ def test_affine_a1_window():
     arr = affine("A1:J={}", Fraction(5, 2))
     assert [h.level for h in arr.hyperplanes] == [-2, -1, 0, 1, 2]
     assert arr.radius == Fraction(5, 2)
-    assert arr.is_affine
+    assert arr.radius is not None
 
 
 def test_affine_a2_radius_one():
@@ -299,3 +299,7 @@ def test_json_dim_capped():
 def test_json_radius_string_or_int():
     assert arrangement_from_json(_affine_doc("7/2")).radius == Fraction(7, 2)
     assert arrangement_from_json(_affine_doc(2)).radius == 2
+    # the --window parser is the same function
+    for text, radius in (("7/2", Fraction(7, 2)), ("1.5", Fraction(3, 2)), ("1e-1", Fraction(1, 10)), (3, 3)):
+        assert parse_radius(text) == radius
+        assert arrangement_from_json(_affine_doc(text)).radius == radius

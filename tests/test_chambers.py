@@ -53,6 +53,10 @@ def test_a2_golden_order():
         (1, -1, -1),
         (-1, -1, -1),
     ]
+    for c in g.chambers:
+        assert g.id_of_signs(c.signs) == g.id_of_signs(list(c.signs)) == c.id
+    # too short, on a hyperplane, and the empty flip x > 0, y > 0, x + y < 0
+    assert g.id_of_signs((1, 1)) is g.id_of_signs((1, 0, 1)) is g.id_of_signs((1, 1, -1)) is None
     assert len(g.edges) == 12
     check_graph_invariants(g)
 

@@ -3,11 +3,24 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
-from floparr import Arrangement, arrangement_to_json, enumerate_chambers, errors, graph_to_json
+from floparr import (
+    Arrangement,
+    GroupoidEquality,
+    arrangement_to_json,
+    atom_groups,
+    enumerate_chambers,
+    equal_in_groupoid,
+    errors,
+    graph_to_json,
+    rewrite_rules,
+    word_of_path,
+)
 from floparr.arrangement import dumps
 from floparr.cli import main
 
@@ -219,6 +232,22 @@ def test_check_with_rewrite_depth(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["rewrite_depth"] == 1
     assert doc["rewrite_proven"] == [True] * 6
+    # the CLI runs no search; each verdict is the library prover's, with
+    # the relations themselves as its rules
+    for arr, cap in ((central("A2:J={}"), None), (central("A3:J={}"), 3), (affine("A2:J={}", "3/2"), None)):
+        g = enumerate_chambers(arr)
+        rep.write_text(json.dumps({str(e.id): "()" for e in g.edges}))
+        (tmp_path / "arr.json").write_text(dumps(arrangement_to_json(arr)))
+        groups = list(atom_groups(g, cap))
+        rules = rewrite_rules(groups)
+        pairs = [(word_of_path(p), word_of_path(q)) for group in groups for p, q in combinations(group, 2)]
+        for depth in (0, 1, 2):
+            argv = ["check", "--in", str(tmp_path / "arr.json"), "--rep", str(rep), "--depth", str(depth)]
+            doc = json.loads(run(*argv, *(["--length-cap", str(cap)] if cap else []), check=True).stdout)
+            assert (doc["relations"], doc["rewrite_depth"]) == (len(pairs), depth)
+            assert doc["rewrite_proven"] == [
+                equal_in_groupoid(g, rules, p, q, depth) is GroupoidEquality.PROVEN_EQUAL for p, q in pairs
+            ]
 
 
 # edges across hyperplane h act as the (h+1)-st power of one 7-cycle, so
@@ -304,8 +333,7 @@ def test_check_renumbers_large_points(tmp_path):
 
 
 def test_check_uncapped_depth_zero(tmp_path):
-    # all 4152 relations go through the prover; its rewrite rules are
-    # built once per check, not once per relation
+    # all 4152 relations are checked; at depth 0 none is proven
     proc = run("check", "A3:J={}", "--rep", _a3_rep(tmp_path), "--depth", "0", timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
@@ -314,15 +342,13 @@ def test_check_uncapped_depth_zero(tmp_path):
 
 
 def test_check_uncapped_depth_one(tmp_path):
-    # all 4152 relations through the prover at depth 1, where it matches
-    # each word against the 2688 stored atoms and inverses of 336 groups;
-    # 48 s before rules were indexed by first letter, so the timeout
-    # catches a return to the full scan
+    # all 4152 relations at depth 1; each is one of the prover's rules, so
+    # the CLI reports them proven without a search
     proc = run("check", "A3:J={}", "--rep", _a3_rep(tmp_path), "--depth", "1", timeout=60)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert (doc["relations"], doc["ok"], doc["rewrite_depth"]) == (4152, True, 1)
-    # verdicts and bytes as computed before the index
+    # verdicts and bytes as the prover's search computed them
     assert doc["rewrite_proven"] == [True] * 4152
     digest = "9ff60e781511957fc5dfd857cbbfadc1c2a236e856e1c5e82549f668c71954db"
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
@@ -641,13 +667,16 @@ def test_numbers_too_long_for_int_are_parse_failures():
     [
         (["build", "A2:J={}", "--window", "1e-5000"], None),
         (["chambers"], {"dim": 1, "kind": {"affine": {"radius": "1e5000"}}, "hyperplanes": [{"normal": [1], "level": 0}]}),
+        # Fraction would spend minutes expanding 10**100000000
+        (["build", "A2:J={}", "--window", "1e-100000000"], None),
+        (["build"], {"dim": 1, "kind": {"affine": {"radius": "1e-100000000"}}, "hyperplanes": []}),
         # legal normals whose chamber witnesses have more than 5000 digits
         (["chambers"], {"dim": 2, "kind": "central", "hyperplanes": [
             {"normal": [1, 10**2500 + 1], "level": 0},
             {"normal": [10**2500 + 1, -1], "level": 0},
         ]}),
     ],
-    ids=["window 1e-5000", "radius 1e5000", "witness"],
+    ids=["window 1e-5000", "radius 1e5000", "window 1e-100000000", "radius 1e-100000000", "witness"],
 )
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this Python writes ints of any length")
 def test_numbers_too_long_to_write_are_overflow(tmp_path, argv, doc):
@@ -656,7 +685,9 @@ def test_numbers_too_long_to_write_are_overflow(tmp_path, argv, doc):
     if doc is not None:
         (tmp_path / "arr.json").write_text(json.dumps(doc))
         argv = argv + ["--in", str(tmp_path / "arr.json")]
+    start = time.perf_counter()
     proc = run(*argv, timeout=30)
+    assert time.perf_counter() - start < 1
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert proc.stderr.startswith("floparr: ")

@@ -99,7 +99,7 @@ def reference_generators(graph):
     out = []
     for chamber in graph.chambers:
         for atom in reference_atoms(graph, base, chamber.id):
-            if graph.arrangement.is_affine and path_touches_boundary(graph, atom):
+            if graph.arrangement.radius is not None and path_touches_boundary(graph, atom):
                 continue
             for wall in walls(graph, chamber.id):
                 out.append(Pi1Generator(atom, wall, loop_word(graph, atom, wall)))
