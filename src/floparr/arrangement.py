@@ -21,6 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
+from types import FunctionType
 
 from .dynkin import MAX_RANK, DynkinData, positive_roots
 from .errors import MixedKinds, Overflow
@@ -54,6 +55,7 @@ class Hyperplane(namedtuple("Hyperplane", "normal level")):
     """The set ``normal . x = level``; central hyperplanes have level 0."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, normal: tuple[int, ...], level: int):
         if not any(normal):
@@ -76,6 +78,7 @@ class Arrangement(namedtuple("Arrangement", "dim radius hyperplanes")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, dim: int, radius: Fraction | None, hyperplanes: tuple[Hyperplane, ...]):
         if not _is_int(dim):
@@ -241,49 +244,10 @@ def arrangement_from_json(obj: dict) -> Arrangement:
     return Arrangement(dim, radius, planes)
 
 
-class TextList:
-    """A JSON list whose items arrive as text while ``dumps`` emits it.
-
-    ``items(nl)`` yields strings, each the text of one or more consecutive
-    items for a list whose items start on lines indented as ``nl``, the
-    items within one string separated by ``"," + nl``.  Entries that
-    share rendered parts (each ``pi1`` relation pairs two atoms of a
-    group) are spliced from those parts, and no value is built per entry.
-    Each ``dumps`` calls ``items`` anew, and nothing checks the text, so
-    an error must come before the first item: ``pi1`` counts its
-    relations before it lists them.
-    """
-
-    __slots__ = ("items",)
-
-    def __init__(self, items):
-        self.items = items
-
-
-class LazyList:
-    """A JSON list whose items ``dumps`` makes one at a time as it emits them.
-
-    The items are ``function(item)`` for each of ``items``, encoded as the
-    items of a list are, so no more than one of them is held at once.
-    ``chambers`` lists its chambers and edges this way.  As with
-    ``TextList``, an error must come before the first item: enumeration
-    checks that every witness can be written.
-    """
-
-    __slots__ = ("function", "items")
-
-    def __init__(self, function, items):
-        self.function = function
-        self.items = items
-
-    def __iter__(self):
-        return map(self.function, self.items)
-
-
 # buffered pieces per write while streaming, each a scalar, a key, a
 # separator or an all-int list
 _FLUSH = 1 << 10
-# buffered characters per write inside a TextList, whose yielded texts
+# buffered characters per write inside a text list, whose yielded texts
 # can each hold many entries of a few hundred bytes
 _FLUSH_CHARS = 1 << 16
 
@@ -291,7 +255,10 @@ _FLUSH_CHARS = 1 << 16
 def _encode(value, nl, buf, write):
     """Append the JSON text of ``value`` to ``buf``, indented as ``nl``.
 
-    A full ``buf`` is handed to ``write`` between container items.
+    A full ``buf`` is handed to ``write`` between container items.  A
+    function is a text list: ``value(inner)`` yields the text of one or
+    more consecutive items for a list whose items start on lines indented
+    as ``inner``, the items within one text separated by ``"," + inner``.
     """
     if isinstance(value, dict):
         if not value:
@@ -312,7 +279,7 @@ def _encode(value, nl, buf, write):
     elif isinstance(value, list) and value and all(type(v) is int for v in value):
         inner = nl + "  "
         buf.append("[" + inner + ("," + inner).join(map(str, value)) + nl + "]")
-    elif isinstance(value, (list, LazyList)):
+    elif isinstance(value, (list, map)):
         inner = nl + "  "
         sep = "[" + inner
         for v in value:
@@ -333,11 +300,11 @@ def _encode(value, nl, buf, write):
         buf.append("false")
     elif isinstance(value, int):
         buf.append(int.__repr__(value))
-    elif isinstance(value, TextList):
+    elif isinstance(value, FunctionType):
         inner = nl + "  "
         sep = "[" + inner
         size = 0
-        for text in value.items(inner):
+        for text in value(inner):
             buf += sep, text
             sep = "," + inner
             size += len(text)
@@ -353,14 +320,22 @@ def _encode(value, nl, buf, write):
 def dumps(obj, write=None):
     """The one JSON emitter: the bytes of ``json.dumps(obj, indent=2) + "\n"``.
 
-    It takes dicts with str keys, lists, str, int, bool, None, ``LazyList``
-    and ``TextList`` items, and raises TypeError on anything else.  Without
-    ``write`` it returns the text.  With it, the text goes to ``write`` in
-    chunks and is never built whole, so a report of any length streams in
-    bounded memory.  A chunk holds about ``_FLUSH`` pieces, each a scalar,
-    a key, a separator or an all-int list, or about ``_FLUSH_CHARS``
-    characters of ``TextList`` text plus one yielded text.  (``json.dumps``
-    with an indent runs CPython's pure-Python encoder, several times slower.)
+    It takes dicts with str keys, lists, str, int, bool, None, maps and
+    functions, and raises TypeError on anything else.  A ``map`` is the
+    list of its items, made one at a time as they are emitted; it is read
+    once, so a second ``dumps`` of it emits ``[]``.  A function is a text
+    list (see ``_encode``), called anew on each ``dumps``: entries that
+    share rendered parts, as ``pi1``'s relations share atoms, are spliced
+    from those parts, and nothing checks the text.  Both are written as
+    they are made, so an error must come before the first item:
+    enumeration checks every witness, and ``pi1`` counts its relations
+    before it lists them.  Without ``write`` it returns the text.  With
+    it, the text goes to ``write`` in chunks and is never built whole, so
+    a report of any length streams in bounded memory.  A chunk holds about
+    ``_FLUSH`` pieces, each a scalar, a key, a separator or an all-int
+    list, or about ``_FLUSH_CHARS`` characters of a text list plus one
+    yielded text.  (``json.dumps`` with an indent runs CPython's
+    pure-Python encoder, several times slower.)
     """
     chunks = None
     if write is None:
@@ -372,11 +347,3 @@ def dumps(obj, write=None):
     write("".join(buf))
     return None if chunks is None else "".join(chunks)
 
-
-def path_text(source: int, edges, nl: str) -> str:
-    """The text of the path ``{"source": source, "edges": list(edges)}`` for
-    a place indented as ``nl``: its ``dumps``, less the final newline, with
-    ``nl`` for each line break.  ``pi1`` splices its atoms from these."""
-    inner = nl + "  "
-    listed = "[" + inner + "  " + ("," + inner + "  ").join(map(str, edges)) + inner + "]" if edges else "[]"
-    return "{" + inner + '"source": ' + str(source) + "," + inner + '"edges": ' + listed + nl + "}"

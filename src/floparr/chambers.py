@@ -39,6 +39,9 @@ hyperplanes in increasing index.  For each adjacent pair both directed
 edges appear, labeled by the separating hyperplane.  A witness with a
 number too long for ``str`` to write raises Overflow as it is found, so
 a report streamed from the graph cannot fail after its first byte.
+Before any solve, enumeration raises Overflow when Buck's bound on the
+chamber count times the H signs of each chamber exceeds ``MAX_SIGNS``,
+which bounds the memory the sign vectors can take, not only their count.
 
 ``region_count_zaslavsky`` counts the chambers of the full space (the
 window plays no role) through the Moebius function of the intersection
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 from .arrangement import Arrangement, check_printable
 from .errors import Overflow, UnknownChamber
@@ -58,20 +61,9 @@ from .linear import ONE, box_constraints, dot, feasible_point, rref
 
 _PROBE_LIMIT = 10000
 # Buck's bound on the chambers of H hyperplanes in R^dim is the sum of
-# C(H, i) for i <= dim; enumeration refuses one above this (E6:J={}: 2,391,496)
-MAX_CHAMBERS = 10**7
-
-
-def _primes(limit):
-    sieve = bytearray([1]) * limit
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(limit**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(limit) if sieve[i]]
-
-
-_PRIMES = _primes(_PROBE_LIMIT)
+# C(H, i) for i <= dim, each chamber holding H signs; enumeration refuses
+# an arrangement whose bound times H is above this (E6:J={}: 86,093,856)
+MAX_SIGNS = 10**8
 _UNSOLVED = object()
 
 
@@ -214,14 +206,16 @@ def _breaks_class_order(planes, signs, h) -> bool:
 def _probes(arr):
     """Probe values t: 1/N over the primes N below 10000, then a fallback.
 
-    The primes keep today's seeds.  Each hyperplane meets the curve
+    The primes keep today's seeds.  Trial division finds each one only
+    once the probe before it has missed, from the least N with 1/N below
+    min(radius, 1).  Each hyperplane meets the curve
     (t, t^2, ..., t^dim) in at most dim values of t, because its normal
     is nonzero, so H * dim + 1 distinct values in (0, min(radius, 1))
     always include one off every hyperplane.
     """
     top = ONE if arr.radius is None else min(arr.radius, ONE)
-    for n in _PRIMES:
-        if Fraction(1, n) < top:
+    for n in range(top.denominator // top.numerator + 1, _PROBE_LIMIT):
+        if all(n % d for d in range(2, isqrt(n) + 1)):
             yield Fraction(1, n)
     for k in range(len(arr.hyperplanes) * arr.dim + 1):
         yield top / (k + 2)
@@ -247,8 +241,10 @@ def enumerate_chambers(arr: Arrangement) -> ChamberGraph:
     """Breadth-first enumeration of all chambers with exact certificates."""
     planes = arr.hyperplanes
     bound = sum(comb(len(planes), i) for i in range(arr.dim + 1))
-    if bound > MAX_CHAMBERS:
-        raise Overflow(f"up to {bound} chambers by Buck's bound, more than {MAX_CHAMBERS}")
+    if bound * len(planes) > MAX_SIGNS:
+        raise Overflow(
+            f"up to {bound} chambers by Buck's bound, of {len(planes)} signs each: more than {MAX_SIGNS} signs in all"
+        )
     table = _row_table(arr)
     partner = _partners(planes)
     seed = seed_chamber(arr)

@@ -30,24 +30,46 @@ import os
 import sys
 import warnings
 
-from .arrangement import (
-    LazyList,
-    TextList,
-    arrangement_from_json,
-    arrangement_to_json,
-    build_affine,
-    build_finite,
-    dumps,
-    parse_radius,
-    path_text,
-)
+from .arrangement import arrangement_from_json, arrangement_to_json, build_affine, build_finite, dumps, parse_radius
 from .chambers import chamber_to_json, edge_to_json, enumerate_chambers
 from .dynkin import DynkinData, DynkinType, parse_data
 from .errors import FloparrError, ParseFailure
-from .galleries import DEFAULT_ATOM_CAP, BoundaryContactWarning, atoms, path_to_json, path_touches_boundary
+from .galleries import DEFAULT_ATOM_CAP, BoundaryContactWarning, atoms, path_text, path_to_json, path_touches_boundary
 from .perms import parse_cycles, perm_of_cycles
 from .pi1 import atom_groups, check_representation, crossing_homomorphism, generators, relation_count, word_to_json
 from .svgplot import arrangement_svg
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its key-value pairs; a repeated key is a ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice")
+        obj[key] = value
+    return obj
+
+
+def _load_json(path, what: str, decode):
+    """``decode`` of the JSON in the file ``path``, the one reader of --in and --rep.
+
+    Any failure to read, parse or decode it, a repeated key or nesting too
+    deep for the parser included, is a ParseFailure naming ``what``;
+    Overflow passes through.
+    """
+    try:
+        with open(path) as f:
+            return decode(json.load(f, object_pairs_hook=_unique_keys))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        raise ParseFailure(f"cannot load {what} from {path}: {exc}") from exc
+
+
+def _edge_table(table) -> dict:
+    """The cycles of a --rep table by edge id; its keys are canonical decimals."""
+    for k in table:
+        if str(int(k)) != k:  # "00", " 0" and "+0" would all name edge 0
+            raise ValueError(f"edge id {k!r} is not a canonical decimal")
+    return {int(k): parse_cycles(v) for k, v in table.items()}
 
 
 def _resolve_arrangement(args):
@@ -55,12 +77,7 @@ def _resolve_arrangement(args):
     if args.infile:
         if args.data or args.window is not None:
             raise ParseFailure("--in FILE takes no Dynkin data string and no --window")
-        try:
-            with open(args.infile) as f:
-                obj = json.load(f)
-            return arrangement_from_json(obj)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ParseFailure(f"cannot load arrangement from {args.infile}: {exc}") from exc
+        return _load_json(args.infile, "arrangement", arrangement_from_json)
     if not args.data:
         raise ParseFailure("need a Dynkin data string or --in FILE")
     data = parse_data(args.data)
@@ -77,9 +94,9 @@ def _emit(args, report) -> None:
 
     Callers raise every error first, so a failure leaves no output: each
     report is built whole, except the chambers and edges of ``chambers``,
-    rendered one at a time from the graph as they are written, and the
-    relations of ``pi1``, listed as they are written once their count has
-    passed its cap.
+    two maps over the graph that render each item as it is written, and
+    the relations of ``pi1``, a function that yields their text as it is
+    written once their count has passed its cap.
     """
 
     def send(write):
@@ -108,8 +125,8 @@ def cmd_chambers(args) -> int:
     report = {
         "count": len(graph.chambers),
         "boundary_count": sum(1 for c in graph.chambers if c.boundary),
-        "chambers": LazyList(chamber_to_json, graph.chambers),
-        "edges": LazyList(edge_to_json, graph.edges),
+        "chambers": map(chamber_to_json, graph.chambers),
+        "edges": map(edge_to_json, graph.edges),
     }
     _emit(args, report)
     return 0
@@ -162,33 +179,15 @@ def cmd_pi1(args) -> int:
             }
             for g in gens
         ],
-        "relations": TextList(relations),
+        "relations": relations,
     }
     _emit(args, report)
     return 0
 
 
-def _unique_keys(pairs) -> dict:
-    """A JSON object from its key-value pairs; a repeated key is a ValueError."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"key {key!r} appears twice")
-        obj[key] = value
-    return obj
-
-
 def cmd_check(args) -> int:
     arr = _resolve_arrangement(args)
-    try:
-        with open(args.rep) as f:
-            table = json.load(f, object_pairs_hook=_unique_keys)
-        for k in table:
-            if str(int(k)) != k:  # "00", " 0" and "+0" would all name edge 0
-                raise ValueError(f"edge id {k!r} is not a canonical decimal")
-        cycles = {int(k): parse_cycles(v) for k, v in table.items()}
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
-        raise ParseFailure(f"cannot load representation from {args.rep}: {exc}") from exc
+    cycles = _load_json(args.rep, "representation", _edge_table)
     # renumber the m named points 0..m-1 in order, so a table naming point
     # 10**15 costs what one naming point 2 does; one bijection applied to
     # every element keeps products and equality, hence every verdict

@@ -42,6 +42,7 @@ class DynkinType(namedtuple("DynkinType", "family rank")):
     """A simply laced type such as A4, D5 or E7."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, family: str, rank: int):
         if family not in FAMILIES:
@@ -117,6 +118,7 @@ class DynkinData(namedtuple("DynkinData", "delta contracted")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, delta: DynkinType, contracted: frozenset[int]):
         nodes = range(delta.rank)

@@ -248,5 +248,14 @@ def path_to_json(path: PositivePath) -> dict:
     return {"source": path.source, "edges": list(path.edges)}
 
 
+def path_text(source: int, edges, nl: str) -> str:
+    """The text of the path ``{"source": source, "edges": list(edges)}`` for
+    a place indented as ``nl``: its ``dumps``, less the final newline, with
+    ``nl`` for each line break.  ``pi1`` splices its atoms from these."""
+    inner = nl + "  "
+    listed = "[" + inner + "  " + ("," + inner + "  ").join(map(str, edges)) + inner + "]" if edges else "[]"
+    return "{" + inner + '"source": ' + str(source) + "," + inner + '"edges": ' + listed + nl + "}"
+
+
 def path_from_json(obj: dict) -> PositivePath:
     return PositivePath(obj["source"], tuple(obj["edges"]))

@@ -24,6 +24,7 @@ class Perm(namedtuple("Perm", "images")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, images: tuple[int, ...]):
         if not (type(images) is tuple and all(type(v) is int for v in images)):
@@ -34,10 +35,6 @@ class Perm(namedtuple("Perm", "images")):
         while n and images[n - 1] == n - 1:
             n -= 1
         return super().__new__(cls, images[:n])
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     def __call__(self, x: int) -> int:
         return self.images[x] if x < len(self.images) else x

@@ -143,6 +143,27 @@ def test_in_file_malformed_values(tmp_path, command, doc):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, text, what",
+    [
+        (["build", "--in"], "[" * 100000, "arrangement"),
+        (["check", "A2:J={}", "--rep"], '{"0": ' * 50000, "representation"),
+        (["build", "--in"], '{"dim": 1, "kind": "central", "hyperplanes": [], "dim": 2}', "arrangement"),
+    ],
+    ids=["deep --in", "deep --rep", "repeated key --in"],
+)
+def test_json_file_that_does_not_load(tmp_path, argv, text, what):
+    # JSON nested past the parser's recursion limit ended in a traceback,
+    # exit 1, and --in kept the last of a repeated key; one loader reads both files
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    proc = run(*argv, str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"floparr: cannot load {what} from {path}: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_chambers_counts():
     doc = json.loads(run("chambers", "A2:J={}", check=True).stdout)
     assert doc["count"] == 6
@@ -616,14 +637,19 @@ def test_exit_code_overflow():
     [
         ("1e400", "more than 100000"),
         ("1e9", "more than 100000"),
-        # 80,001 lines build at once; Buck's bound stops the enumeration
-        ("1e4", "up to 3200120002 chambers by Buck's bound, more than 10000000"),
+        # 80,001 lines build at once; Buck's bound times H stops the enumeration
+        ("1e4", "up to 3200120002 chambers by Buck's bound, of 80001 signs each: more than 100000000 signs in all"),
+        # 2,883,602 chambers are under 10**7, but of 2401 signs each: 6.9e9 signs
+        ("300", "up to 2883602 chambers by Buck's bound, of 2401 signs each: more than 100000000 signs in all"),
     ],
-    ids=["1e400", "1e9", "1e4"],
+    ids=["1e400", "1e9", "1e4", "300"],
 )
 def test_exit_code_oversize_window(radius, message):
-    # the translates and the chambers are counted before any is built, so this is quick
+    # the translates and the chambers are counted before any is built, so this
+    # is quick: about 0.1 s, and 0.4 s for 1e4, which builds 80,001 hyperplanes
+    start = time.perf_counter()
     proc = run("chambers", "A2:J={}", "--window", radius, timeout=30)
+    assert time.perf_counter() - start < 2
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert message in proc.stderr

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floparr.arrangement import TextList, dumps, path_text
+from floparr.arrangement import dumps
+from floparr.galleries import path_text
 
 # quotes, backslashes, control characters, non-ASCII and astral characters
 # next to plain ones, so that every escaping rule of json.dumps is hit
@@ -68,7 +69,7 @@ def test_streams_in_bounded_chunks():
 
 
 def text_list(items, run):
-    """A TextList of ``items``, yielded as texts of ``run`` items each."""
+    """A text list of ``items``: a function yielding texts of ``run`` items each."""
     texts = [dumps(v)[:-1] for v in items]
 
     def runs(nl):
@@ -76,7 +77,7 @@ def text_list(items, run):
         for i in range(0, len(rendered), run):
             yield ("," + nl).join(rendered[i : i + run])
 
-    return TextList(runs)
+    return runs
 
 
 @settings(max_examples=60, deadline=None)
@@ -84,7 +85,7 @@ def text_list(items, run):
     st.lists(values, max_size=6), st.integers(1, 4), values, st.lists(st.sampled_from(["list", "dict"]), max_size=4)
 )
 def test_text_list_splices_at_any_depth(items, run, other, nesting):
-    # a TextList emits the bytes of the materialised list at the depth where
+    # a text list emits the bytes of the materialised list at the depth where
     # it sits, next to plain values, and again when reused at another depth
     lazy = text_list(items, run)
     plain, spliced = [other, items], [other, lazy]
@@ -94,8 +95,31 @@ def test_text_list_splices_at_any_depth(items, run, other, nesting):
     assert dumps(spliced) == reference(plain)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(values, max_size=6), values, st.lists(st.sampled_from(["list", "dict"]), max_size=4))
+def test_map_emits_its_items_at_any_depth(items, other, nesting):
+    # a map emits the bytes of the list it yields, next to plain values; it
+    # is read once, so each place it appears gets a fresh one
+    def nest(leaf, kinds):
+        if not kinds:
+            return [other, leaf()]
+        if kinds[0] == "list":
+            return [1, nest(leaf, kinds[1:])]
+        return {"k": nest(leaf, kinds[1:]), "z": [nest(leaf, kinds[1:])], "r": other}
+
+    def fresh():
+        return map(lambda v: v, items)
+
+    assert dumps(nest(fresh, nesting)) == reference(nest(lambda: items, nesting))
+    read = fresh()
+    assert dumps(read) == reference(items)
+    assert dumps(read) == "[]\n"
+
+
 def test_empty_text_list():
-    empty = TextList(lambda nl: iter(()))
+    def empty(nl):
+        return iter(())
+
     assert dumps(empty) == "[]\n"
     assert dumps({"a": empty, "b": [empty, 1]}) == reference({"a": [], "b": [[], 1]})
 
@@ -126,7 +150,7 @@ def test_text_list_of_atoms_streams_in_small_chunks():
                 yield head + p + mid + (tail + "," + nl + head + p + mid).join(texts[i:]) + tail
 
     chunks = []
-    dumps({"relations": TextList(relations)}, chunks.append)
+    dumps({"relations": relations}, chunks.append)
     pairs = [{"p": p, "q": q} for group in groups for i, p in enumerate(group) for q in group[i + 1 :]]
     assert "".join(chunks) == reference({"relations": pairs})
     assert max(len(c) for c in chunks) < 1 << 18

@@ -95,6 +95,22 @@ def test_perm_refuses_what_its_constructor_refuses(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: build_finite(parse_data("A2:J={}"))._replace(dim=0, radius=Fraction(-1)), ValueError),
+        (lambda: Hyperplane((1, 0), 0)._replace(normal=(0, 0)), ValueError),
+        (lambda: DynkinType("A", 2)._replace(family="Z"), InvalidType),
+        (lambda: parse_data("A2:J={}")._replace(contracted={7}), InvalidType),
+    ],
+    ids=["Arrangement", "Hyperplane", "DynkinType", "DynkinData"],
+)
+def test_replace_runs_the_constructor_checks(make, error):
+    # each call used to return a record that broke its contract
+    with pytest.raises(error):
+        make()
+
+
 def test_perm_replace_keeps_the_canonical_form():
     assert Perm((1, 0))._replace(images=(0, 2, 1)).images == (0, 2, 1)
     assert Perm._make([(1, 0, 2)]) == Perm((1, 0)) and Perm._make([(1, 0, 2)]).images == (1, 0)
@@ -103,6 +119,7 @@ def test_perm_replace_keeps_the_canonical_form():
 def test_contracted_is_a_frozenset():
     data = DynkinData(DynkinType("A", 3), {0})
     assert type(data.contracted) is frozenset and data.contracted == {0}
+    assert type(data._replace(contracted={2}).contracted) is frozenset
     assert data.surviving == (1, 2)
 
 
