@@ -213,7 +213,7 @@ def _probes(arr):
     is nonzero, so H * dim + 1 distinct values in (0, min(radius, 1))
     always include one off every hyperplane.
     """
-    top = ONE if arr.radius is None else min(arr.radius, ONE)
+    top = ONE if arr.radius is None else min(ONE, arr.radius)  # a Fraction even for an int radius of 1
     for n in range(top.denominator // top.numerator + 1, _PROBE_LIMIT):
         if all(n % d for d in range(2, isqrt(n) + 1)):
             yield Fraction(1, n)

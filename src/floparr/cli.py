@@ -30,14 +30,8 @@ import os
 import sys
 import warnings
 
-from .arrangement import arrangement_from_json, arrangement_to_json, build_affine, build_finite, dumps, parse_radius
-from .chambers import chamber_to_json, edge_to_json, enumerate_chambers
-from .dynkin import DynkinData, DynkinType, parse_data
+from . import arrangement, chambers, dynkin, galleries, perms, pi1, svgplot
 from .errors import FloparrError, ParseFailure
-from .galleries import DEFAULT_ATOM_CAP, BoundaryContactWarning, atoms, path_text, path_to_json, path_touches_boundary
-from .perms import parse_cycles, perm_of_cycles
-from .pi1 import atom_groups, check_representation, crossing_homomorphism, generators, relation_count, word_to_json
-from .svgplot import arrangement_svg
 
 
 def _unique_keys(pairs) -> dict:
@@ -69,7 +63,7 @@ def _edge_table(table) -> dict:
     for k in table:
         if str(int(k)) != k:  # "00", " 0" and "+0" would all name edge 0
             raise ValueError(f"edge id {k!r} is not a canonical decimal")
-    return {int(k): parse_cycles(v) for k, v in table.items()}
+    return {int(k): perms.parse_cycles(v) for k, v in table.items()}
 
 
 def _resolve_arrangement(args):
@@ -77,14 +71,14 @@ def _resolve_arrangement(args):
     if args.infile:
         if args.data or args.window is not None:
             raise ParseFailure("--in FILE takes no Dynkin data string and no --window")
-        return _load_json(args.infile, "arrangement", arrangement_from_json)
+        return _load_json(args.infile, "arrangement", arrangement.arrangement_from_json)
     if not args.data:
         raise ParseFailure("need a Dynkin data string or --in FILE")
-    data = parse_data(args.data)
+    data = dynkin.parse_data(args.data)
     if args.window is None:
-        return build_finite(data)
+        return arrangement.build_finite(data)
     try:
-        return build_affine(data, parse_radius(args.window))
+        return arrangement.build_affine(data, arrangement.parse_radius(args.window))
     except ValueError as exc:
         raise ParseFailure(f"bad --window {args.window!r}: {exc}") from exc
 
@@ -93,17 +87,17 @@ def _emit(args, report) -> None:
     """Stream a report, canonical JSON or SVG text, to --out or stdout.
 
     Callers raise every error first, so a failure leaves no output: each
-    report is built whole, except the chambers and edges of ``chambers``,
-    two maps over the graph that render each item as it is written, and
-    the relations of ``pi1``, a function that yields their text as it is
-    written once their count has passed its cap.
+    report is built whole, except the chambers and edges of ``chambers``
+    and the generators of ``pi1``, maps that render each item as it is
+    written, and the relations of ``pi1``, a function that yields their
+    text as it is written once their count has passed its cap.
     """
 
     def send(write):
         if isinstance(report, str):
             write(report)
         else:
-            dumps(report, write)
+            arrangement.dumps(report, write)
 
     if not args.out:
         send(sys.stdout.write)
@@ -115,46 +109,65 @@ def _emit(args, report) -> None:
         raise ParseFailure(f"cannot write {args.out}: {exc}") from exc
 
 
+def _load(*layers) -> None:
+    """Run these lazy layers, and the layers they import, now.
+
+    A command calls this first when it would reach a layer only after it
+    has built data: compiled back to back, the layers reuse each other's
+    transient compile memory, where one compiled on top of a graph or a
+    table raises the process's peak.
+    """
+    for layer in layers:
+        layer.__name__  # reading any attribute runs a lazy module
+
+
+def _cap(args) -> int:
+    """The --cap of atoms or pi1; with none given, the library's default."""
+    return galleries.DEFAULT_ATOM_CAP if args.cap is None else args.cap
+
+
 def cmd_build(args) -> int:
-    _emit(args, arrangement_to_json(_resolve_arrangement(args)))
+    _emit(args, arrangement.arrangement_to_json(_resolve_arrangement(args)))
     return 0
 
 
 def cmd_chambers(args) -> int:
-    graph = enumerate_chambers(_resolve_arrangement(args))
+    graph = chambers.enumerate_chambers(_resolve_arrangement(args))
     report = {
         "count": len(graph.chambers),
         "boundary_count": sum(1 for c in graph.chambers if c.boundary),
-        "chambers": map(chamber_to_json, graph.chambers),
-        "edges": map(edge_to_json, graph.edges),
+        "chambers": map(chambers.chamber_to_json, graph.chambers),
+        "edges": map(chambers.edge_to_json, graph.edges),
     }
     _emit(args, report)
     return 0
 
 
 def cmd_atoms(args) -> int:
-    graph = enumerate_chambers(_resolve_arrangement(args))
+    _load(galleries)
+    graph = chambers.enumerate_chambers(_resolve_arrangement(args))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryContactWarning)
-        found = atoms(graph, args.source, args.target, cap=args.cap)
+        warnings.simplefilter("ignore", galleries.BoundaryContactWarning)
+        found = galleries.atoms(graph, args.source, args.target, cap=_cap(args))
     report = {
         "from": args.source,
         "to": args.target,
         "count": len(found),
         "length": len(found[0].edges) if found else None,
-        "boundary_touching": sum(1 for p in found if path_touches_boundary(graph, p)),
-        "atoms": [path_to_json(p) for p in found],
+        "boundary_touching": sum(1 for p in found if galleries.path_touches_boundary(graph, p)),
+        "atoms": [galleries.path_to_json(p) for p in found],
     }
     _emit(args, report)
     return 0
 
 
 def cmd_pi1(args) -> int:
-    graph = enumerate_chambers(_resolve_arrangement(args))
-    count = relation_count(graph, args.length_cap)  # once it passes, listing cannot raise
+    _load(pi1)
+    graph = chambers.enumerate_chambers(_resolve_arrangement(args))
+    count = pi1.relation_count(graph, args.length_cap)  # once it passes, listing cannot raise
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryContactWarning)
-        gens = generators(graph, max_atoms_per_chamber=args.cap)
+        warnings.simplefilter("ignore", galleries.BoundaryContactWarning)
+        gens = pi1.generators(graph, max_atoms_per_chamber=_cap(args))
 
     def relations(nl):
         # one source's atoms at a time, each rendered once; the entries
@@ -162,30 +175,32 @@ def cmd_pi1(args) -> int:
         # group come as one text
         inner = nl + "  "
         head, mid, tail = "{" + inner + '"p": ', "," + inner + '"q": ', nl + "}"
-        for group in atom_groups(graph, args.length_cap):
-            texts = [path_text(path.source, path.edges, inner) for path in group]
+        for group in pi1.atom_groups(graph, args.length_cap):
+            texts = [galleries.path_text(path.source, path.edges, inner) for path in group]
             for i, p in enumerate(texts[:-1], 1):
                 yield head + p + mid + (tail + "," + nl + head + p + mid).join(texts[i:]) + tail
+
+    def generator_json(g):
+        return {
+            "atom": galleries.path_to_json(g.atom),
+            "wall": g.wall,
+            "loop": pi1.word_to_json(g.loop),
+            "crossing": list(pi1.crossing_homomorphism(graph, g.loop)),
+        }
 
     report = {
         "generator_count": len(gens),
         "relation_count": count,
-        "generators": [
-            {
-                "atom": path_to_json(g.atom),
-                "wall": g.wall,
-                "loop": word_to_json(g.loop),
-                "crossing": list(crossing_homomorphism(graph, g.loop)),
-            }
-            for g in gens
-        ],
+        "generators": map(generator_json, gens),
         "relations": relations,
     }
+    del gens  # the map holds the list now, and lets it go once all are written
     _emit(args, report)
     return 0
 
 
 def cmd_check(args) -> int:
+    _load(pi1, perms)
     arr = _resolve_arrangement(args)
     cycles = _load_json(args.rep, "representation", _edge_table)
     # renumber the m named points 0..m-1 in order, so a table naming point
@@ -193,10 +208,10 @@ def cmd_check(args) -> int:
     # every element keeps products and equality, hence every verdict
     points = sorted({x for found in cycles.values() for cycle in found for x in cycle})
     index = {x: i for i, x in enumerate(points)}
-    assignment = {k: perm_of_cycles([[index[x] for x in c] for c in found]) for k, found in cycles.items()}
-    graph = enumerate_chambers(arr)
-    relation_count(graph, args.length_cap)  # Overflow comes before the first fold
-    report_obj = check_representation(graph, assignment, atom_groups(graph, args.length_cap))
+    assignment = {k: perms.perm_of_cycles([[index[x] for x in c] for c in found]) for k, found in cycles.items()}
+    graph = chambers.enumerate_chambers(arr)
+    pi1.relation_count(graph, args.length_cap)  # Overflow comes before the first fold
+    report_obj = pi1.check_representation(graph, assignment, pi1.atom_groups(graph, args.length_cap))
     report = {
         "relations": report_obj.checked,
         "failures": list(report_obj.failures),
@@ -211,29 +226,30 @@ def cmd_check(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    _load(svgplot)
     arr = _resolve_arrangement(args)
-    graph = enumerate_chambers(arr) if args.chambers else None
-    _emit(args, arrangement_svg(arr, graph))
+    graph = chambers.enumerate_chambers(arr) if args.chambers else None
+    _emit(args, svgplot.arrangement_svg(arr, graph))
     return 0
 
 
 def all_rank_two_data(max_rank: int):
-    types = [DynkinType("A", n) for n in range(2, max_rank + 1)]
-    types += [DynkinType("D", n) for n in range(4, max_rank + 1)]
-    types += [DynkinType("E", n) for n in (6, 7, 8) if n <= max_rank]
+    types = [dynkin.DynkinType("A", n) for n in range(2, max_rank + 1)]
+    types += [dynkin.DynkinType("D", n) for n in range(4, max_rank + 1)]
+    types += [dynkin.DynkinType("E", n) for n in (6, 7, 8) if n <= max_rank]
     for delta in types:
         nodes = range(delta.rank)
         for i in nodes:
             for j in nodes:
                 if i < j:
                     contracted = frozenset(nodes) - {i, j}
-                    yield DynkinData(delta, contracted)
+                    yield dynkin.DynkinData(delta, contracted)
 
 
 def cmd_search_figure(args) -> int:
     matches = []
     for data in all_rank_two_data(args.max_rank):
-        count = len(build_finite(data).hyperplanes)
+        count = len(arrangement.build_finite(data).hyperplanes)
         if count == args.lines:
             matches.append({"data": str(data), "hyperplanes": count})
     _emit(args, {"target": args.lines, "matches": matches})
@@ -280,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     p.add_argument("--from", dest="source", type=int, required=True, metavar="N")
     p.add_argument("--to", dest="target", type=int, required=True, metavar="N")
-    p.add_argument("--cap", type=_nonnegative("cap"), default=DEFAULT_ATOM_CAP, help="atom count cap")
+    p.add_argument("--cap", type=_nonnegative("cap"), default=None, help="atom count cap")
     p.set_defaults(func=cmd_atoms)
 
     p = sub.add_parser("pi1", help="loop generators and atom-pair relations")
     _add_input_args(p)
-    p.add_argument("--cap", type=_nonnegative("cap"), default=DEFAULT_ATOM_CAP, help="atoms per chamber cap")
+    p.add_argument("--cap", type=_nonnegative("cap"), default=None, help="atoms per chamber cap")
     p.add_argument(
         "--length-cap", type=_nonnegative("length cap"), default=None, help="skip relations above this atom length"
     )
@@ -306,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("search-figure", help="rank-2 contractions with a given line count")
-    p.add_argument("--lines", type=int, required=True, metavar="N")
-    p.add_argument("--max-rank", type=int, default=8, metavar="N")
+    p.add_argument("--lines", type=_nonnegative("lines"), required=True, metavar="N")
+    p.add_argument("--max-rank", type=_nonnegative("max rank"), default=8, metavar="N")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_search_figure)
 

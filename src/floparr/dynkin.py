@@ -35,7 +35,7 @@ MAX_RANK = 64
 _RANK_MIN = {"A": 1, "D": 4, "E": 6}
 _RANK_MAX = {"A": None, "D": None, "E": 8}
 
-_DATA_RE = re.compile(r"^([A-Z])(\d+):J=\{(\d+(?:,\d+)*)?\}$")
+_DATA_RE = re.compile(r"([A-Z])([0-9]+):J=\{([0-9]+(?:,[0-9]+)*)?\}")  # matched whole, ASCII digits only
 
 
 class DynkinType(namedtuple("DynkinType", "family rank")):
@@ -146,7 +146,7 @@ def parse_data(text: str) -> DynkinData:
     parsing a canonical string then formatting reproduces it byte for
     byte.
     """
-    m = _DATA_RE.match(text)
+    m = _DATA_RE.fullmatch(text)
     if m is None:
         raise InvalidType(f"cannot parse Dynkin data from {text!r}")
     family, inner = m.group(1), m.group(3)

@@ -131,6 +131,12 @@ def test_seed_inside_tiny_window():
                 assert s * (dot(plane.normal, seed.witness) - plane.level) > 0, (text, radius)
 
 
+def test_probes_are_fractions_for_an_int_radius():
+    # min(radius, ONE) was the int 1 here, so the fallback probes top / (k + 2) were floats
+    arr = build_affine(parse_data("A2:J={}"), 1)
+    assert all(type(t) is Fraction for t in floparr.chambers._probes(arr))
+
+
 def test_zaslavsky_boolean():
     assert region_count_zaslavsky(central("A1:J={}")) == 2
     two = product_arrangement(central("A1:J={}"), central("A1:J={}"))

@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 
+import floparr
 from floparr import (
     Arrangement,
     GroupoidEquality,
@@ -318,14 +319,21 @@ def test_negative_length_cap_rejected(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "argv", [["pi1", "A2:J={}", "--cap", "-1"], ["atoms", "A2:J={}", "--from", "0", "--to", "5", "--cap", "-3"]]
+    "argv",
+    [
+        ["pi1", "A2:J={}", "--cap", "-1"],
+        ["atoms", "A2:J={}", "--from", "0", "--to", "5", "--cap", "-3"],
+        ["search-figure", "--lines", "-1"],
+        ["search-figure", "--lines", "3", "--max-rank", "-3"],
+    ],
 )
 def test_negative_cap_rejected(argv):
-    # a negative cap used to exit 4 with "more than -1 atoms from 0 to 0"
+    # a negative cap used to exit 4 with "more than -1 atoms from 0 to 0";
+    # a negative line count or rank used to exit 0 with no matches
     proc = run(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "cap must be at least 0" in proc.stderr
+    assert f"{argv[-2][2:].replace('-', ' ')} must be at least 0" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -504,13 +512,13 @@ def test_relation_cap_before_any_output(tmp_path, command):
 
 def test_closed_stdout_is_quiet():
     # the reader goes away before any output, as in `floparr ... | head -c 0`
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         CLI + ["chambers", "A4:J={}"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=os.environ.copy()
-    )
-    proc.stdout.read(0)
-    proc.stdout.close()
-    stderr = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 1
+    ) as proc:
+        proc.stdout.read(0)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
     assert "Traceback" not in stderr
     assert "Exception ignored" not in stderr
 
@@ -612,6 +620,16 @@ def test_exit_code_table(cls):
 
 def test_exit_code_parse_failure():
     assert run("build", "Q9:J={}").returncode == 2
+
+
+@pytest.mark.parametrize("data", ["A3:J={}\n", "A\uff13:J={}", "A3:J={\u0661}"], ids=["newline", "fullwidth", "arabic-indic"])
+def test_data_is_matched_whole_in_ascii(data):
+    # $ let a trailing newline through, and \d took any Unicode digit
+    proc = run("build", data)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "cannot parse" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("window", ["nope", "0", "-1", "1/0"])
@@ -755,12 +773,56 @@ def test_output_independent_of_hash_seed(argv):
     assert outs[0] == outs[1]
 
 
-def test_import_footprint():
-    # the records are namedtuples and --in/--rep are read with open(), so a
-    # run loads none of these; -S keeps a site .pth file from preloading one
-    src = os.path.dirname(os.path.dirname(errors.__file__))
-    code = "import floparr.cli, sys; print(*[m for m in ('dataclasses', 'inspect', 'pathlib', 'typing') if m in sys.modules])"
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+# the floparr modules each command runs; the others stay lazy and uncompiled
+BUILD = {"floparr", "floparr.cli", "floparr.errors", "floparr.arrangement", "floparr.dynkin"}
+ENUMERATE = BUILD | {"floparr.chambers", "floparr.linear"}
+PI1 = ENUMERATE | {"floparr.galleries", "floparr.pi1"}
+
+
+def test_import_footprint(tmp_path):
+    # each command runs only the floparr modules it uses; a lazy submodule
+    # is a subclass of ModuleType until its first attribute access, and
+    # type() makes none.  The records are namedtuples and --in/--rep are
+    # read with open(), so no run loads the stdlib modules below; -S keeps
+    # a site .pth file from preloading one
+    build = {"floparr", "floparr.cli", "floparr.errors", "floparr.arrangement", "floparr.dynkin"}
+    enumerate_ = build | {"floparr.chambers", "floparr.linear"}
+    pi1 = enumerate_ | {"floparr.galleries", "floparr.pi1"}
+    footprints = [
+        ((), {"floparr", "floparr.cli", "floparr.errors"}),
+        (("build", "A2:J={}"), build),
+        (("search-figure", "--lines", "3", "--max-rank", "4"), build),
+        (("chambers", "A2:J={}"), enumerate_),
+        (("pi1", "A2:J={}"), pi1),
+        (("check", "A3:J={}", "--rep", _a3_rep(tmp_path)), pi1 | {"floparr.perms"}),
+    ]
+    code = (
+        "import sys, types, floparr.cli\n"
+        "code = floparr.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print()\n"
+        "print(*sorted(n for n, m in sys.modules.items() if n.split('.')[0] == 'floparr' and type(m) is types.ModuleType))\n"
+        "print(*[m for m in ('dataclasses', 'inspect', 'pathlib', 'typing') if m in sys.modules])\n"
+        "sys.exit(code)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(errors.__file__)))
+    for argv, loaded in footprints:
+        proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        *_, modules, stdlib = proc.stdout.split("\n")[:-1]
+        assert set(modules.split()) == loaded, argv
+        assert stdlib.split() == [], argv
+
+
+def test_package_exports_are_the_submodules_objects():
+    assert floparr.__all__
+    for name in floparr.__all__:
+        home = sys.modules[f"floparr.{floparr._HOME[name]}"]
+        assert getattr(floparr, name) is getattr(home, name), name
+    assert floparr.enumerate_chambers is floparr.chambers.enumerate_chambers
+    star = {}
+    exec("from floparr import *", star)
+    assert set(star) - {"__builtins__"} == set(floparr.__all__)
+    assert all(star[name] is getattr(floparr, name) for name in floparr.__all__)
+    assert set(floparr.__all__) <= set(dir(floparr))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        floparr.no_such_name
