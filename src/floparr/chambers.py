@@ -10,12 +10,12 @@ reproducible run to run and machine to machine.
 Walls are found by flipping one sign: h is a wall of C exactly when C
 with h's sign flipped is a chamber, so one witness solve per new sign
 vector finds the neighbour.  One memo remembers each vector met so far
-by the bytes of its minus-sign bits, one bit per hyperplane: a chamber's
-vector maps to its id, an empty one to None, and a mirror waiting to be
-reached (below) to its result.  Each flip looks its bits up first, and
+by an int whose bit h is set when h has sign -1: a chamber's vector
+maps to its id, an empty one to None, and a mirror waiting to be
+reached (below) to its result.  Each flip looks its key up first, and
 builds its sign tuple only to solve it or to make it a chamber.  A flip
 that breaks the +...+-...- sign order along the translates of one normal
-is empty, so it is skipped before its bits are even looked up.  Each
+is empty, so it is skipped before its key is even looked up.  Each
 hyperplane's row is built once per enumeration, on both sides, for the
 open chamber and for each closed window face ``x_i = +-p/q`` (for radius
 p/q), where the weak row is substituted and scaled by q so the rows stay
@@ -156,13 +156,12 @@ def _rows(system, signs):
     return [pair[s] for pair, s in zip(sides, signs)] + tail
 
 
-def _minus_bits(signs) -> bytearray:
-    """The memo's compact form of a sign vector: bit h (bit h % 8 of byte
-    h // 8) is set when h has sign -1."""
-    bits = bytearray((len(signs) + 7) >> 3)
+def _minus_bits(signs) -> int:
+    """The memo's key for a sign vector: bit h is set when h has sign -1."""
+    bits = 0
     for h, s in enumerate(signs):
         if s < 0:
-            bits[h >> 3] |= 1 << (h & 7)
+            bits |= 1 << h
     return bits
 
 
@@ -192,15 +191,15 @@ def _partners(planes):
 def _breaks_class_order(planes, signs, h) -> bool:
     """Is flipping h empty by the sign order of its parallel class?
 
-    Translates of one normal sit together sorted by level, so a nonempty
-    vector reads +...+-...- along them: h may not take the sign opposite
-    to its neighbour g on the far side of its level.
+    ``Arrangement`` sorts its hyperplanes by (normal, level), so the
+    translates of one normal sit together by increasing level and a
+    nonempty vector reads +...+-...- along them.  A neighbour g = h + s
+    of the same normal lies on the far side of h's level, so h may not
+    take the sign opposite to g's.
     """
     s = signs[h]
     g = h + s
-    if not 0 <= g < len(planes) or planes[g].normal != planes[h].normal:
-        return False
-    return signs[g] == s and s * (planes[g].level - planes[h].level) > 0
+    return 0 <= g < len(planes) and planes[g].normal == planes[h].normal and signs[g] == s
 
 
 def _probes(arr):
@@ -249,10 +248,10 @@ def enumerate_chambers(arr: Arrangement) -> ChamberGraph:
     partner = _partners(planes)
     seed = seed_chamber(arr)
     chambers = [seed]
-    # the memo, keyed by the minus bits of each sign vector met so far: a
-    # chamber's id, None for an empty vector, or the (witness, boundary
-    # flag) of a mirror the search has not reached yet
-    memo = {bytes(_minus_bits(seed.signs)): 0}
+    # the memo, keyed by the _minus_bits int of each sign vector met so
+    # far: a chamber's id, None for an empty vector, or the (witness,
+    # boundary flag) of a mirror the search has not reached yet
+    memo = {_minus_bits(seed.signs): 0}
     edges = []
     for current in chambers:
         signs = current.signs
@@ -263,10 +262,7 @@ def enumerate_chambers(arr: Arrangement) -> ChamberGraph:
             # nonempty, so h is a wall exactly when the flip is a chamber.
             if _breaks_class_order(planes, signs, h):
                 continue
-            byte, bit = h >> 3, 1 << (h & 7)
-            bits[byte] ^= bit
-            key = bytes(bits)
-            bits[byte] ^= bit
+            key = bits ^ (1 << h)
             found = memo.get(key, _UNSOLVED)
             if found is None:
                 continue
@@ -279,7 +275,7 @@ def enumerate_chambers(arr: Arrangement) -> ChamberGraph:
                     if partner is not None:
                         # the seed is in the memo, so nothing lands on it
                         memo.setdefault(
-                            bytes(_minus_bits([-flipped[g] for g in partner])),
+                            _minus_bits([-flipped[g] for g in partner]),
                             None if found is None else (tuple(-v for v in found[0]), found[1]),
                         )
                 if found is None:

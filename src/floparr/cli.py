@@ -153,7 +153,7 @@ def cmd_atoms(args) -> int:
         "from": args.source,
         "to": args.target,
         "count": len(found),
-        "length": len(found[0].edges) if found else None,
+        "length": len(found[0].edges),
         "boundary_touching": sum(1 for p in found if galleries.path_touches_boundary(graph, p)),
         "atoms": [galleries.path_to_json(p) for p in found],
     }

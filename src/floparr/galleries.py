@@ -200,9 +200,9 @@ class MutationLabel(namedtuple("MutationLabel", "symbols")):
     __slots__ = ()
 
 
-def initial_label(graph: ChamberGraph, cid: int, stem: str = "M") -> MutationLabel:
-    """A fresh label with one named symbol per wall of the chamber."""
-    return MutationLabel(tuple(f"{stem}{i}" for i in range(len(walls(graph, cid)))))
+def initial_label(graph: ChamberGraph, cid: int) -> MutationLabel:
+    """A fresh label with one named symbol M0, M1, ... per wall of the chamber."""
+    return MutationLabel(tuple(f"M{i}" for i in range(len(walls(graph, cid)))))
 
 
 def mutate_symbol(hyperplane: int, symbol):

@@ -1,9 +1,9 @@
 """Deterministic SVG pictures of two-dimensional arrangements.
 
-One line element per hyperplane, emitted in the arrangement's sort
-order, clipped exactly to the drawing box (the window box for affine
-arrangements, the unit box for central ones) and formatted with fixed
-three-decimal coordinates.  Level-0 hyperplanes are styled distinctly
+One line element per hyperplane that crosses the drawing box, emitted
+in the arrangement's sort order, clipped exactly to that box (the window
+box for affine arrangements, the unit box for central ones) and
+formatted with fixed three-decimal coordinates.  Level-0 hyperplanes are styled distinctly
 from their integer translates.  Equal inputs give byte identical
 output.
 """
@@ -34,7 +34,7 @@ def _dec(x: Fraction) -> str:
 
 
 def _clip(normal, level, half: Fraction):
-    """Endpoints of the line ``normal . x = level`` inside the box [-half, half]^2."""
+    """Endpoints of ``normal . x = level`` in the box [-half, half]^2, or None if it misses or only touches it."""
     a0, a1 = normal
     k = Fraction(level)
     points = set()
@@ -49,9 +49,7 @@ def _clip(normal, level, half: Fraction):
             if -half <= x <= half:
                 points.add((x, y))
     ordered = sorted(points)
-    if not ordered:
-        return (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))
-    return ordered[0], ordered[-1]
+    return (ordered[0], ordered[-1]) if len(ordered) > 1 else None
 
 
 def arrangement_svg(arr: Arrangement, graph: ChamberGraph | None = None) -> str:
@@ -71,7 +69,10 @@ def arrangement_svg(arr: Arrangement, graph: ChamberGraph | None = None) -> str:
         f'<rect width="{VIEW}" height="{VIEW}" fill="#ffffff"/>',
     ]
     for h in arr.hyperplanes:
-        (x1, y1), (x2, y2) = _clip(h.normal, h.level, half)
+        ends = _clip(h.normal, h.level, half)
+        if ends is None:
+            continue
+        (x1, y1), (x2, y2) = ends
         style = FINITE_STYLE if h.level == 0 else SHIFT_STYLE
         lines.append(
             f'<line x1="{px(x1)}" y1="{py(y1)}" x2="{px(x2)}" y2="{py(y2)}" {style}/>'

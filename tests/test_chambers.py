@@ -137,6 +137,12 @@ def test_probes_are_fractions_for_an_int_radius():
     assert all(type(t) is Fraction for t in floparr.chambers._probes(arr))
 
 
+def test_memo_key_sets_bit_h_for_sign_minus_one():
+    assert floparr.chambers._minus_bits((1, -1, 1, -1)) == 0b1010
+    assert floparr.chambers._minus_bits((1,) * 42 + (-1,)) == 1 << 42
+    assert floparr.chambers._minus_bits((1, 1)) == 0
+
+
 def test_zaslavsky_boolean():
     assert region_count_zaslavsky(central("A1:J={}")) == 2
     two = product_arrangement(central("A1:J={}"), central("A1:J={}"))

@@ -531,6 +531,18 @@ def test_plot_line_elements():
     assert 'viewBox="0 0 600 600"' in svg
 
 
+def test_plot_skips_a_line_outside_the_box(tmp_path):
+    # x = 5 misses the window box of radius 1: no line is drawn for it
+    path = tmp_path / "outside.json"
+    path.write_text(
+        '{"dim": 2, "kind": {"affine": {"radius": "1"}}, "hyperplanes": '
+        '[{"normal": [0, 1], "level": 0}, {"normal": [1, 0], "level": 5}]}'
+    )
+    svg = run("plot", "--in", str(path), check=True).stdout
+    assert svg.count("<line") == 1
+    assert 'x1="300.000" y1="300.000" x2="300.000" y2="300.000"' not in svg
+
+
 def test_plot_chamber_overlay():
     plain = run("plot", "A2:J={}", check=True).stdout
     dotted = run("plot", "A2:J={}", "--chambers", check=True).stdout
@@ -771,12 +783,6 @@ def test_output_independent_of_hash_seed(argv):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
-
-
-# the floparr modules each command runs; the others stay lazy and uncompiled
-BUILD = {"floparr", "floparr.cli", "floparr.errors", "floparr.arrangement", "floparr.dynkin"}
-ENUMERATE = BUILD | {"floparr.chambers", "floparr.linear"}
-PI1 = ENUMERATE | {"floparr.galleries", "floparr.pi1"}
 
 
 def test_import_footprint(tmp_path):

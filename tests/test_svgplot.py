@@ -27,6 +27,12 @@ def test_clip_axis():
     assert {a, b} == {(Fraction(0), Fraction(-1)), (Fraction(0), Fraction(1))}
 
 
+def test_clip_misses_box():
+    # x = 5 lies outside the unit box, and x + y = 2 touches it only at (1, 1)
+    assert _clip((1, 0), 5, Fraction(1)) is None
+    assert _clip((1, 1), 2, Fraction(1)) is None
+
+
 def test_rejects_wrong_dimension():
     with pytest.raises(NotRankTwo):
         arrangement_svg(central("A3:J={}"))
