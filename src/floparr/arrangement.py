@@ -177,7 +177,7 @@ def build_affine(data: DynkinData, radius: Fraction) -> Arrangement:
     tops = [_window_top(h.normal, radius) for h in finite.hyperplanes]
     count = sum(2 * top + 1 for top in tops)
     if count > MAX_TRANSLATES:
-        raise Overflow(f"the window holds {count} hyperplanes, more than {MAX_TRANSLATES}")
+        raise Overflow(f"the window holds more than {MAX_TRANSLATES} hyperplanes")
     planes = [
         Hyperplane(h.normal, k)
         for h, top in zip(finite.hyperplanes, tops)

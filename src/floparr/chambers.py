@@ -12,14 +12,16 @@ with h's sign flipped is a chamber, so one witness solve per new sign
 vector finds the neighbour.  One memo remembers each vector met so far
 by an int whose bit h is set when h has sign -1: a chamber's vector
 maps to its id, an empty one to None, and a mirror waiting to be
-reached (below) to its result.  Each flip looks its key up first, and
-builds its sign tuple only to solve it or to make it a chamber.  A flip
-that breaks the +...+-...- sign order along the translates of one normal
-is empty, so it is skipped before its key is even looked up.  Each
-hyperplane's row is built once per enumeration, on both sides, for the
-open chamber and for each closed window face ``x_i = +-p/q`` (for radius
-p/q), where the weak row is substituted and scaled by q so the rows stay
-integral; a solve only picks rows from that table.
+reached (below) to its result.  Each chamber keeps its own key.  Each
+flip looks its key up first, and builds its sign tuple only to solve it
+or to make it a chamber.  ``Arrangement`` sorts its hyperplanes by
+(normal, level), so each parallel class is a run of indices along which
+a chamber reads +...+-...-: only the last + and the first - of a class
+can be walls, and they are the only flips tried.  Each hyperplane's row
+is built once per enumeration, on both sides, for the open chamber and
+for each closed window face ``x_i = +-p/q`` (for radius p/q), where the
+weak row is substituted and scaled by q so the rows stay integral; a
+solve only picks rows from that table.
 
 Antipodal memo: when every hyperplane (a, k) has a partner (a, -k), as
 in every arrangement built from Dynkin data, x -> -x maps the
@@ -188,20 +190,6 @@ def _partners(planes):
     return None if None in partner else partner
 
 
-def _breaks_class_order(planes, signs, h) -> bool:
-    """Is flipping h empty by the sign order of its parallel class?
-
-    ``Arrangement`` sorts its hyperplanes by (normal, level), so the
-    translates of one normal sit together by increasing level and a
-    nonempty vector reads +...+-...- along them.  A neighbour g = h + s
-    of the same normal lies on the far side of h's level, so h may not
-    take the sign opposite to g's.
-    """
-    s = signs[h]
-    g = h + s
-    return 0 <= g < len(planes) and planes[g].normal == planes[h].normal and signs[g] == s
-
-
 def _probes(arr):
     """Probe values t: 1/N over the primes N below 10000, then a fallback.
 
@@ -246,44 +234,50 @@ def enumerate_chambers(arr: Arrangement) -> ChamberGraph:
         )
     table = _row_table(arr)
     partner = _partners(planes)
+    # the first index of each parallel class, then the end
+    starts = [h for h in range(len(planes)) if h == 0 or planes[h].normal != planes[h - 1].normal]
+    classes = list(zip(starts, starts[1:] + [len(planes)]))
     seed = seed_chamber(arr)
     chambers = [seed]
+    keys = [_minus_bits(seed.signs)]  # keys[cid] is chamber cid's memo key
     # the memo, keyed by the _minus_bits int of each sign vector met so
     # far: a chamber's id, None for an empty vector, or the (witness,
     # boundary flag) of a mirror the search has not reached yet
-    memo = {_minus_bits(seed.signs): 0}
+    memo = {keys[0]: 0}
     edges = []
     for current in chambers:
         signs = current.signs
-        bits = _minus_bits(signs)
-        for h in range(len(planes)):
+        bits = keys[current.id]
+        for lo, hi in classes:
             # The other signs and the open window cut out a convex open
             # region; it meets h exactly when both sides of h are
             # nonempty, so h is a wall exactly when the flip is a chamber.
-            if _breaks_class_order(planes, signs, h):
-                continue
-            key = bits ^ (1 << h)
-            found = memo.get(key, _UNSOLVED)
-            if found is None:
-                continue
-            if type(found) is int:
-                cid = found
-            else:
-                flipped = signs[:h] + (-signs[h],) + signs[h + 1 :]
-                if found is _UNSOLVED:
-                    found = _solve(table, flipped)
-                    if partner is not None:
-                        # the seed is in the memo, so nothing lands on it
-                        memo.setdefault(
-                            _minus_bits([-flipped[g] for g in partner]),
-                            None if found is None else (tuple(-v for v in found[0]), found[1]),
-                        )
+            # The class reads + before index cut and - from it on.
+            cut = lo + signs[lo:hi].count(1)
+            for h in range(max(lo, cut - 1), min(hi, cut + 1)):
+                key = bits ^ (1 << h)
+                found = memo.get(key, _UNSOLVED)
                 if found is None:
-                    memo[key] = None
                     continue
-                cid = memo[key] = len(chambers)
-                chambers.append(Chamber(cid, flipped, *found))
-            edges.append(Edge(len(edges), current.id, cid, h))
+                if type(found) is int:
+                    cid = found
+                else:
+                    flipped = signs[:h] + (-signs[h],) + signs[h + 1 :]
+                    if found is _UNSOLVED:
+                        found = _solve(table, flipped)
+                        if partner is not None:
+                            # the seed is in the memo, so nothing lands on it
+                            memo.setdefault(
+                                _minus_bits([-flipped[g] for g in partner]),
+                                None if found is None else (tuple(-v for v in found[0]), found[1]),
+                            )
+                    if found is None:
+                        memo[key] = None
+                        continue
+                    cid = memo[key] = len(chambers)
+                    chambers.append(Chamber(cid, flipped, *found))
+                    keys.append(key)
+                edges.append(Edge(len(edges), current.id, cid, h))
     return ChamberGraph(arr, chambers, edges)
 
 

@@ -198,10 +198,13 @@ def test_affine_translate_cap():
     data = parse_data("A1:J={}")
     r = (MAX_TRANSLATES + 1) // 2
     assert len(build_affine(data, r)) == 2 * r - 1 <= MAX_TRANSLATES
-    with pytest.raises(Overflow, match=f"holds {2 * r + 1} hyperplanes"):
+    with pytest.raises(Overflow, match=f"holds more than {MAX_TRANSLATES} hyperplanes"):
         build_affine(data, r + 1)
     with pytest.raises(Overflow):
         build_affine(data, Fraction(10) ** 400)
+    # the count of this window has 4,301 digits, too many for str to write
+    with pytest.raises(Overflow, match=f"holds more than {MAX_TRANSLATES} hyperplanes"):
+        build_affine(parse_data("A2:J={}"), Fraction(3 * 10**4299))
 
 
 def test_product_central():

@@ -300,12 +300,15 @@ def test_mirror_results_match_full_solves(monkeypatch, name):
     monkeypatch.setattr(floparr.chambers, "_solve", recorded)
     g = enumerate_chambers(arr)
     planes = arr.hyperplanes
-    looked_up = {
-        c.signs[:h] + (-c.signs[h],) + c.signs[h + 1 :]
-        for c in g.chambers
-        for h in range(len(planes))
-        if not floparr.chambers._breaks_class_order(planes, c.signs, h)
-    }
+
+    def candidates(signs):
+        # the last + and the first - of each parallel class
+        for h, s in enumerate(signs):
+            n = h + s  # the next translate on the side of h that s points to
+            if not (0 <= n < len(planes) and planes[n].normal == planes[h].normal and signs[n] == s):
+                yield h
+
+    looked_up = {c.signs[:h] + (-c.signs[h],) + c.signs[h + 1 :] for c in g.chambers for h in candidates(c.signs)}
     decided = looked_up - solved - {g.chambers[0].signs}
     symmetric = floparr.chambers._partners(planes) is not None
     assert symmetric == (name != "parallel json r=1")

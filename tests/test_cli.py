@@ -667,12 +667,14 @@ def test_exit_code_overflow():
     [
         ("1e400", "more than 100000"),
         ("1e9", "more than 100000"),
+        # the translate count is too long for str to write
+        ("3e4299", "more than 100000"),
         # 80,001 lines build at once; Buck's bound times H stops the enumeration
         ("1e4", "up to 3200120002 chambers by Buck's bound, of 80001 signs each: more than 100000000 signs in all"),
         # 2,883,602 chambers are under 10**7, but of 2401 signs each: 6.9e9 signs
         ("300", "up to 2883602 chambers by Buck's bound, of 2401 signs each: more than 100000000 signs in all"),
     ],
-    ids=["1e400", "1e9", "1e4", "300"],
+    ids=["1e400", "1e9", "3e4299", "1e4", "300"],
 )
 def test_exit_code_oversize_window(radius, message):
     # the translates and the chambers are counted before any is built, so this

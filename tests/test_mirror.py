@@ -24,7 +24,7 @@ from floparr import (
     seed_chamber,
 )
 from floparr.arrangement import _primitive
-from floparr.chambers import Chamber, ChamberGraph, Edge, _breaks_class_order, _partners
+from floparr.chambers import Chamber, ChamberGraph, Edge, _partners
 from floparr.linear import box_constraints, feasible_point
 
 from helpers import affine, parallel_line
@@ -57,17 +57,15 @@ def reference_touches_boundary(arr, signs):
 
 
 def reference_enumeration(arr):
-    # one solve per new sign vector, no mirror
-    planes = arr.hyperplanes
+    # one solve per new sign vector, every hyperplane tried at every
+    # chamber: no mirror and no class rule
     seed = seed_chamber(arr)
     chambers = [seed]
     index = {seed.signs: 0}
     edges = []
     for current in chambers:
         signs = current.signs
-        for h in range(len(planes)):
-            if _breaks_class_order(planes, signs, h):
-                continue
+        for h in range(len(arr.hyperplanes)):
             flipped = signs[:h] + (-signs[h],) + signs[h + 1 :]
             if flipped not in index:
                 witness = feasible_point(arr.dim, reference_rows(arr, flipped))
