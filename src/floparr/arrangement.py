@@ -144,10 +144,7 @@ def restrict_roots(data: DynkinData) -> list[Root]:
 
 def build_finite(data: DynkinData) -> Arrangement:
     """The central arrangement of restricted roots in R^{|J^c|}."""
-    normals = set()
-    for sub in restrict_roots(data):
-        normal, level = _primitive(sub, 0)
-        normals.add(Hyperplane(normal, level))
+    normals = {Hyperplane(*_primitive(sub, 0)) for sub in set(restrict_roots(data))}
     return Arrangement(len(data.surviving), None, tuple(sorted(normals)))
 
 

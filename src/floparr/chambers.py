@@ -9,32 +9,38 @@ reproducible run to run and machine to machine.
 
 Walls are found by flipping one sign: h is a wall of C exactly when C
 with h's sign flipped is a chamber, so one witness solve per new sign
-vector finds the neighbour.  One memo remembers each vector met so far
-by an int whose bit h is set when h has sign -1: a chamber's vector
-maps to its id, an empty one to None, and a mirror waiting to be
-reached (below) to its result.  Each chamber keeps its own key.  Each
-flip looks its key up first, and builds its sign tuple only to solve it
-or to make it a chamber.  ``Arrangement`` sorts its hyperplanes by
-(normal, level), so each parallel class is a run of indices along which
-a chamber reads +...+-...-: only the last + and the first - of a class
-can be walls, and they are the only flips tried.  Each hyperplane's row
-is built once per enumeration, on both sides, for the open chamber and
-for each closed window face ``x_i = +-p/q`` (for radius p/q), where the
-weak row is substituted and scaled by q so the rows stay integral; a
+vector finds the neighbour.  ``Arrangement`` sorts its hyperplanes by
+(normal, level), so each parallel class k is a run of indices along
+which a chamber reads +...+-...-: only the last + and the first - of a
+class can be walls, and they are the only flips tried.  So a vector is
+fixed by its slab index: the count r_k of + signs in each class, which
+one memo keys by the int sum of r_k * stride_k, where stride_k is the
+product of (size + 1) over the classes before k.  Flipping the last +
+of class k subtracts stride_k and flipping its first - adds it; for a
+central arrangement, one hyperplane per class, the key sets bit h for
+sign +1.  A chamber's vector maps to its id, an empty one to None, and
+a mirror waiting to be reached (below) to its result.  Each chamber
+keeps its own key.  Each flip looks its key up first, and builds its
+sign tuple only to solve it or to make it a chamber.  Each hyperplane's
+row is built once per enumeration, on both sides, for the open chamber
+and for each closed window face ``x_i = +-p/q`` (for radius p/q), where
+the weak row is substituted and scaled by q so the rows stay integral; a
 solve only picks rows from that table.
 
-Antipodal memo: when every hyperplane (a, k) has a partner (a, -k), as
-in every arrangement built from Dynkin data, x -> -x maps the
-arrangement and the symmetric window box onto themselves.  The mirror
-of a sign vector v, ``m[h] = -v[partner(h)]``, then cuts out exactly
-the negated region.  So one solve of v also settles m: m is empty when v
-is, m's witness is exactly -(v's witness), because the kernel's witness
-depends only on the feasible set and its interval rule is odd under
-negation, and m's boundary flag equals v's.  Unless m is in the memo
-already, its result waits there until the search reaches m.  The seed's
-witness comes from the probe and not from the kernel, so nothing is
-mirrored onto it.  An arrangement without partners (possible for
-``--in`` input) is searched with one solve per vector.
+Antipodal memo: when the levels of every class read the same negated
+back to front, as in every arrangement built from Dynkin data, x -> -x
+maps the arrangement and the symmetric window box onto themselves, and
+each class onto itself with r_k sent to size_k - r_k.  The mirror m of
+a sign vector v, with key ``top - key`` where top = prod(size_k + 1) - 1,
+then cuts out exactly the negated region.  So one solve of v also
+settles m: m is empty when v is, m's witness is exactly -(v's witness),
+because the kernel's witness depends only on the feasible set and its
+interval rule is odd under negation, and m's boundary flag equals v's.
+Unless m is in the memo already, its result waits there until the
+search reaches m.  The seed's witness comes from the probe and not from
+the kernel, so nothing is mirrored onto it.  An arrangement with an
+unbalanced class (possible for ``--in`` input) is searched with one
+solve per vector.
 
 Ids are assigned in discovery order, with each chamber expanding its
 hyperplanes in increasing index.  For each adjacent pair both directed
@@ -158,15 +164,6 @@ def _rows(system, signs):
     return [pair[s] for pair, s in zip(sides, signs)] + tail
 
 
-def _minus_bits(signs) -> int:
-    """The memo's key for a sign vector: bit h is set when h has sign -1."""
-    bits = 0
-    for h, s in enumerate(signs):
-        if s < 0:
-            bits |= 1 << h
-    return bits
-
-
 def _touches_boundary(table, signs) -> bool:
     """Does the closure of the chamber meet the window boundary?"""
     dim, _, faces = table
@@ -181,13 +178,6 @@ def _solve(table, signs):
         return None
     check_printable(witness, "a chamber witness")
     return witness, _touches_boundary(table, signs)
-
-
-def _partners(planes):
-    """The index of (a, -k) for each hyperplane (a, k), or None if one has none."""
-    where = {(plane.normal, plane.level): h for h, plane in enumerate(planes)}
-    partner = [where.get((plane.normal, -plane.level)) for plane in planes]
-    return None if None in partner else partner
 
 
 def _probes(arr):
@@ -233,29 +223,35 @@ def enumerate_chambers(arr: Arrangement) -> ChamberGraph:
             f"up to {bound} chambers by Buck's bound, of {len(planes)} signs each: more than {MAX_SIGNS} signs in all"
         )
     table = _row_table(arr)
-    partner = _partners(planes)
-    # the first index of each parallel class, then the end
+    # each parallel class [lo, hi) with its stride in the slab key
     starts = [h for h in range(len(planes)) if h == 0 or planes[h].normal != planes[h - 1].normal]
-    classes = list(zip(starts, starts[1:] + [len(planes)]))
+    classes, stride = [], 1
+    for lo, hi in zip(starts, starts[1:] + [len(planes)]):
+        classes.append((lo, hi, stride))
+        stride *= hi - lo + 1
+    top = stride - 1  # the key of the all-+ vector
+    # does x -> -x map each class onto itself?
+    mirrored = all(planes[lo + i].level == -planes[hi - 1 - i].level for lo, hi, _ in classes for i in range(hi - lo))
     seed = seed_chamber(arr)
     chambers = [seed]
-    keys = [_minus_bits(seed.signs)]  # keys[cid] is chamber cid's memo key
-    # the memo, keyed by the _minus_bits int of each sign vector met so
-    # far: a chamber's id, None for an empty vector, or the (witness,
-    # boundary flag) of a mirror the search has not reached yet
+    # keys[cid] is chamber cid's memo key
+    keys = [sum(seed.signs[lo:hi].count(1) * stride for lo, hi, stride in classes)]
+    # the memo, keyed by the slab key of each sign vector met so far: a
+    # chamber's id, None for an empty vector, or the (witness, boundary
+    # flag) of a mirror the search has not reached yet
     memo = {keys[0]: 0}
     edges = []
     for current in chambers:
         signs = current.signs
-        bits = keys[current.id]
-        for lo, hi in classes:
+        here = keys[current.id]
+        for lo, hi, stride in classes:
             # The other signs and the open window cut out a convex open
             # region; it meets h exactly when both sides of h are
             # nonempty, so h is a wall exactly when the flip is a chamber.
             # The class reads + before index cut and - from it on.
             cut = lo + signs[lo:hi].count(1)
             for h in range(max(lo, cut - 1), min(hi, cut + 1)):
-                key = bits ^ (1 << h)
+                key = here - signs[h] * stride
                 found = memo.get(key, _UNSOLVED)
                 if found is None:
                     continue
@@ -265,12 +261,9 @@ def enumerate_chambers(arr: Arrangement) -> ChamberGraph:
                     flipped = signs[:h] + (-signs[h],) + signs[h + 1 :]
                     if found is _UNSOLVED:
                         found = _solve(table, flipped)
-                        if partner is not None:
+                        if mirrored:
                             # the seed is in the memo, so nothing lands on it
-                            memo.setdefault(
-                                _minus_bits([-flipped[g] for g in partner]),
-                                None if found is None else (tuple(-v for v in found[0]), found[1]),
-                            )
+                            memo.setdefault(top - key, None if found is None else (tuple(-v for v in found[0]), found[1]))
                     if found is None:
                         memo[key] = None
                         continue

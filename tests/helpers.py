@@ -49,6 +49,12 @@ def parallel_line(n):
     return Arrangement(1, Fraction(n // 2 + 1), tuple(Hyperplane((1,), k) for k in range(low, low + n)))
 
 
+def antipodal(arr):
+    """Does x -> -x map the arrangement onto itself: is each (a, -k) there with (a, k)?"""
+    planes = set(arr.hyperplanes)
+    return all(Hyperplane(h.normal, -h.level) in planes for h in planes)
+
+
 def a5_height_two():
     """The nine roots of A5 of height at most 2: a central arrangement in dim 5."""
     normals = sorted(

@@ -24,6 +24,7 @@ from helpers import (
     a5_height_two,
     affine,
     affine_graph,
+    antipodal,
     central,
     central_graph,
     check_graph_invariants,
@@ -135,12 +136,6 @@ def test_probes_are_fractions_for_an_int_radius():
     # min(radius, ONE) was the int 1 here, so the fallback probes top / (k + 2) were floats
     arr = build_affine(parse_data("A2:J={}"), 1)
     assert all(type(t) is Fraction for t in floparr.chambers._probes(arr))
-
-
-def test_memo_key_sets_bit_h_for_sign_minus_one():
-    assert floparr.chambers._minus_bits((1, -1, 1, -1)) == 0b1010
-    assert floparr.chambers._minus_bits((1,) * 42 + (-1,)) == 1 << 42
-    assert floparr.chambers._minus_bits((1, 1)) == 0
 
 
 def test_zaslavsky_boolean():
@@ -310,7 +305,7 @@ def test_mirror_results_match_full_solves(monkeypatch, name):
 
     looked_up = {c.signs[:h] + (-c.signs[h],) + c.signs[h + 1 :] for c in g.chambers for h in candidates(c.signs)}
     decided = looked_up - solved - {g.chambers[0].signs}
-    symmetric = floparr.chambers._partners(planes) is not None
+    symmetric = antipodal(arr)
     assert symmetric == (name != "parallel json r=1")
     assert bool(decided) == symmetric
     table = floparr.chambers._row_table(arr)
@@ -352,8 +347,9 @@ def test_graph_json_pinned(arr, digest):
         (lambda: affine("A3:J={}", 1), 199, 33),
         (lambda: affine("D4:J={0,2}", Fraction(3, 2)), 101, 75),
         (lambda: parallel_line(300), 300, 601),
+        (lambda: affine("D4:J={}", 1), 7229, 547),
     ],
-    ids=["D4", "A5 height<=2", "A2 r=7/2", "A3 r=1", "D4:J={0,2} r=3/2", "300 parallel"],
+    ids=["D4", "A5 height<=2", "A2 r=7/2", "A3 r=1", "D4:J={0,2} r=3/2", "300 parallel", "D4 r=1"],
 )
 def test_enumeration_solve_counts_pinned(monkeypatch, arr, witness, boundary):
     # feasibility solves are the enumeration's machine-independent cost:
@@ -361,7 +357,9 @@ def test_enumeration_solve_counts_pinned(monkeypatch, arr, witness, boundary):
     # boundary flags.  The antipodal memo settles each solved vector's
     # mirror as well, which halves both; the parallel line has no partner
     # for its lowest level, so it solves every vector itself, and no
-    # empty one at all.  Every row sent is integral, as the kernel requires.
+    # empty one at all.  D4 in a radius-1 window has 64 hyperplanes in
+    # parallel classes of 3 to 9 translates, so its memo keys mix uneven
+    # strides.  Every row sent is integral, as the kernel requires.
     arr = arr()
     calls = {arr.dim: 0, arr.dim - 1: 0}
 

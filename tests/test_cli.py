@@ -472,7 +472,7 @@ def test_pi1_memory_peak(tmp_path):
 def test_chambers_memory_peak(tmp_path):
     # 720 chambers and 3,600 edges; traced peak about 1.8 MB with one copy
     # of the graph, rendered as it is written, and empty flips kept as
-    # minus-sign bits; 3.0 MB with the report built whole before the first
+    # int memo keys; 3.0 MB with the report built whole before the first
     # byte and every empty flip kept as a sign tuple
     target = tmp_path / "chambers.json"
     tracemalloc.start()

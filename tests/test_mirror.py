@@ -1,7 +1,7 @@
 """The antipodal memo and the row table against the loop they replaced.
 
 ``enumerate_chambers`` settles the mirror of every solved sign vector
-without a solve when each hyperplane (a, k) has a partner (a, -k), and
+without a solve when each hyperplane (a, k) comes with (a, -k), and
 picks its rows from a table built once.  The reference below is the
 earlier loop: every new vector solved in full, on rows rebuilt for each
 solve.  On random small integer arrangements, symmetric by construction
@@ -14,6 +14,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import floparr.chambers
 from floparr import (
     Arrangement,
     Hyperplane,
@@ -24,10 +25,10 @@ from floparr import (
     seed_chamber,
 )
 from floparr.arrangement import _primitive
-from floparr.chambers import Chamber, ChamberGraph, Edge, _partners
+from floparr.chambers import Chamber, ChamberGraph, Edge
 from floparr.linear import box_constraints, feasible_point
 
-from helpers import affine, parallel_line
+from helpers import affine, antipodal, parallel_line
 
 
 def reference_rows(arr, signs, strict=True):
@@ -122,9 +123,34 @@ def test_enumeration_matches_reference_loop(arr):
     assert graph_to_json(enumerate_chambers(arr)) == graph_to_json(reference_enumeration(arr))
 
 
-def test_partners():
-    assert _partners(SYMMETRIC.hyperplanes) == [1, 0, 2, 4, 3]
-    assert _partners(ONE_SIDED.hyperplanes) is None
+def looked_up(graph):
+    """The flips the search looks up, less the seed: at each chamber, the
+    last + and the first - of each run of translates of one normal."""
+    planes = graph.arrangement.hyperplanes
+    out = set()
+    for c in graph.chambers:
+        for h, s in enumerate(c.signs):
+            n = h + s  # the next translate on the side of h that s points to
+            if not (0 <= n < len(planes) and planes[n].normal == planes[h].normal and c.signs[n] == s):
+                out.add(c.signs[:h] + (-c.signs[h],) + c.signs[h + 1 :])
+    return out - {graph.chambers[0].signs}
+
+
+def test_mirror_saves_solves_only_when_symmetric(monkeypatch):
+    solves = []
+    solve = floparr.chambers._solve
+
+    def counted(table, signs):
+        solves.append(signs)
+        return solve(table, signs)
+
+    monkeypatch.setattr(floparr.chambers, "_solve", counted)
+    vectors = looked_up(enumerate_chambers(SYMMETRIC))
+    assert len(set(solves)) == len(solves) < len(vectors)
+    for arr in (ONE_SIDED, parallel_line(300)):
+        solves.clear()
+        vectors = looked_up(enumerate_chambers(arr))
+        assert len(solves) == len(vectors) and set(solves) == vectors
 
 
 def _a2_less_one_translate():
@@ -137,5 +163,5 @@ def _a2_less_one_translate():
 def test_asymmetric_input_falls_back():
     # level -150 of the parallel line has no partner
     for arr in (parallel_line(300), _a2_less_one_translate()):
-        assert _partners(arr.hyperplanes) is None
+        assert not antipodal(arr)
         assert graph_to_json(enumerate_chambers(arr)) == graph_to_json(reference_enumeration(arr))
